@@ -54,7 +54,9 @@ from .solver import (
     energy_and_gradient,
     first_solution,
     mountain_pass,
+    solution_stage,
     solve_torsion,
+    threshold_stage,
     truncate_reaction,
     two_solution_pipeline,
     uphill_endpoint,

@@ -8,7 +8,6 @@ from __future__ import annotations
 
 import argparse
 import hashlib
-import math
 import sys
 from pathlib import Path
 
@@ -16,22 +15,16 @@ import numpy as np
 
 from . import __version__
 from .errors import ConfigError, PhilapError
-from .orlicz import gridfunction_to_csv
+from .orlicz import gridfunction_to_csv, write_table
 from .problems import builtin_example, load_problem, run_all_checks
 from .solver import (
-    two_solution_pipeline,
+    solution_stage,
+    threshold_stage,
     write_convergence_csv,
     write_degiorgi_csv,
     write_solution_csv,
 )
-from .threshold import (
-    classify,
-    lambda_star,
-    truncation_constants,
-    write_kappa_csv,
-    write_threshold_csv,
-)
-from .solver import build_subsolution
+from .threshold import write_kappa_csv, write_threshold_csv
 from .young import (
     PathologicalParams,
     build_pathological,
@@ -82,19 +75,14 @@ def _outdir(args) -> Path:
 
 
 def _cmd_indices(args) -> int:
-    import csv
-
     psi = _builtin_generator(args)
     grid = log_grid(args.grid_lo, min(args.grid_hi, psi.t_hi * 0.999), args.grid_n)
     pair = compute_indices(psi, grid)
     out = _outdir(args)
-    with open(out / "indices.csv", "w", newline="\n") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["function", "lower", "upper",
-                         "at_infinity_lower", "at_infinity_upper"])
-        writer.writerow([psi.name, f"{pair.lower:.12g}", f"{pair.upper:.12g}",
-                         f"{pair.at_infinity_lower:.12g}",
-                         f"{pair.at_infinity_upper:.12g}"])
+    write_table(out / "indices.csv",
+                ["function", "lower", "upper", "at_infinity_lower", "at_infinity_upper"],
+                [[psi.name, pair.lower, pair.upper,
+                  pair.at_infinity_lower, pair.at_infinity_upper]])
     _write_manifest(out, f"indices:{psi.name}:{args.grid_lo}:{args.grid_hi}:{args.grid_n}",
                     seed=0)
     print(f"indices of {psi.name}: lower={pair.lower:.6g} upper={pair.upper:.6g}")
@@ -106,16 +94,14 @@ def _cmd_conjugate(args) -> int:
     conj = young_conjugate(psi)
     back = young_conjugate(conj)
     ts = log_grid(1e-3, 1e3, 100)
+    vals = psi(ts)
+    err = np.abs(back(ts) - vals) / vals
     out = _outdir(args)
-    with open(out / "conjugate.csv", "w", newline="\n") as fh:
-        fh.write("t,value,conjugate,involution_rel_err\n")
-        for t in ts:
-            v = psi(t)
-            err = abs(back(t) - v) / v
-            fh.write(f"{t:.12g},{v:.12g},{conj(t):.12g},{err:.12g}\n")
+    write_table(out / "conjugate.csv", ["t", "value", "conjugate", "involution_rel_err"],
+                zip(ts, vals, conj(ts), err))
     _write_manifest(out, f"conjugate:{psi.name}", seed=0)
     print(f"conjugate of {psi.name} written; worst involution error on [1e-3,1e3] "
-          f"= {max(abs(back(t) - psi(t)) / psi(t) for t in ts):.3e}")
+          f"= {err.max():.3e}")
     return 0
 
 
@@ -127,53 +113,52 @@ def _cmd_sobolev_conjugate(args) -> int:
     hi = star.t_hi * 0.99
     ts = log_grid(lo, hi, 200)
     out = _outdir(args)
-    with open(out / "sobolev_conjugate.csv", "w", newline="\n") as fh:
-        fh.write("t,phi_star\n")
-        for t in ts:
-            fh.write(f"{t:.12g},{star(t):.12g}\n")
+    write_table(out / "sobolev_conjugate.csv", ["t", "phi_star"], zip(ts, star(ts)))
     _write_manifest(out, f"sobolev:{psi.name}:N={args.N}", seed=0)
     print(f"critical conjugate of {psi.name} (N={args.N}): "
           f"indices [{pair.lower:.4g}, {pair.upper:.4g}]")
     return 0
 
 
-def _load_from_args(args):
+def _audit(args):
+    """Audit stage: load the problem and check its hypotheses.
+    hypotheses.csv is written whatever the verdict."""
     if not args.config:
         raise ConfigError("this command requires --config")
-    return load_problem(args.config, overrides=args.override)
-
-
-def _cmd_check(args) -> int:
-    spec, settings, text = _load_from_args(args)
+    spec, settings, text = load_problem(args.config, overrides=args.override)
     report = run_all_checks(spec, t_max=settings.t_max)
     out = _outdir(args)
     report.to_csv(out / "hypotheses.csv")
+    return spec, settings, text, report, out
+
+
+def _report_audit(report, out, text, settings) -> int:
+    """Finish a run that ends with the audit: manifest, report lines, and
+    the exit code of the verdict."""
     _write_manifest(out, text, settings.seed)
     for line in report.lines():
         print(line)
     return 0 if report.all_passed else 1
 
 
+def _threshold(spec, settings, report):
+    """Threshold stage, seeded and sized from the solver settings."""
+    return threshold_stage(spec, report, lam=settings.lam,
+                           embed_trials=settings.embed_trials,
+                           rng=np.random.default_rng(settings.seed))
+
+
+def _cmd_check(args) -> int:
+    _, settings, text, report, out = _audit(args)
+    return _report_audit(report, out, text, settings)
+
+
 def _cmd_lambda_star(args) -> int:
-    spec, settings, text = _load_from_args(args)
-    report = run_all_checks(spec, t_max=settings.t_max)
-    out = _outdir(args)
-    report.to_csv(out / "hypotheses.csv")
+    spec, settings, text, report, out = _audit(args)
     if not report.all_passed:
-        for line in report.lines():
-            print(line)
-        _write_manifest(out, text, settings.seed)
-        return 1
-    sub = build_subsolution(spec, report.hf1.data["delta"], lam=1.0)
-    constants = truncation_constants(spec, sub.k1, sub.k2)
-    case = classify(spec.upsilon, spec.phi)
-    rng = np.random.default_rng(settings.seed)
-    thr = lambda_star(spec, constants, case, rng=rng,
-                      embed_trials=settings.embed_trials)
-    lam = settings.lam
-    if lam is None:
-        lam = thr.lambda_star / 2.0 if math.isfinite(thr.lambda_star) else 1.0
-    adm = thr.r_star(lam)
+        return _report_audit(report, out, text, settings)
+    stage = _threshold(spec, settings, report)
+    thr, lam, adm = stage.threshold, stage.lam, stage.admissibility
     write_threshold_csv(thr, [lam], out / "threshold.csv")
     r_grid = np.geomspace(adm.r_star / 100.0, adm.r_star * 100.0, 200)
     write_kappa_csv(thr, r_grid, out / "kappa_curve.csv", lam=lam)
@@ -186,20 +171,14 @@ def _cmd_lambda_star(args) -> int:
 
 
 def _run_pipeline(args, need_mountain: bool):
-    spec, settings, text = _load_from_args(args)
-    out = _outdir(args)
-    report = run_all_checks(spec, t_max=settings.t_max)
-    report.to_csv(out / "hypotheses.csv")
+    """Every stage, the audit once; (None, 1) when the audit fails."""
+    spec, settings, text, report, out = _audit(args)
     if not report.all_passed:
-        for line in report.lines():
-            print(line)
-        _write_manifest(out, text, settings.seed)
-        return None, 1
-    result = two_solution_pipeline(
-        spec, lam=settings.lam, tol_first=settings.tol_first,
-        tol_mountain=settings.tol_mountain, n_path=settings.n_path,
-        max_iter=settings.max_iter, embed_trials=settings.embed_trials,
-        t_max=settings.t_max, rng=np.random.default_rng(settings.seed))
+        return None, _report_audit(report, out, text, settings)
+    stage = _threshold(spec, settings, report)
+    result = solution_stage(spec, stage, tol_first=settings.tol_first,
+                            tol_mountain=settings.tol_mountain, n_path=settings.n_path,
+                            max_iter=settings.max_iter)
     write_solution_csv(out / "solution.csv", spec.grid, {
         "u_lambda": result.first.u.values,
         "v_lambda": result.mp.state.u.values,

@@ -30,6 +30,7 @@ __all__ = [
     "luxemburg_of",
     "modular",
     "modular_of",
+    "write_table",
 ]
 
 LUXEMBURG_ITERS = 70  # geometric bisection, resolves well below 1e-10 relative
@@ -194,15 +195,19 @@ def estimate_embedding_constant(phi: YoungFunction, target: YoungFunction,
     return safety * best
 
 
+def write_table(path, header, rows) -> None:
+    """CSV file with a header row and LF line endings; floats as .12g."""
+    with open(path, "w", newline="\n") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows([f"{v:.12g}" if isinstance(v, float) else v for v in row]
+                         for row in rows)
+
+
 def gridfunction_to_csv(u: GridFunction, path) -> None:
     """Write columns x,u with header; boundary rows included as zeros."""
     xs = np.concatenate([[0.0], u.grid.nodes, [u.grid.length]])
-    vals = u.padded()
-    with open(path, "w", newline="\n") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["x", "u"])
-        for x, v in zip(xs, vals):
-            writer.writerow([f"{x:.12g}", f"{v:.12g}"])
+    write_table(path, ["x", "u"], zip(xs, u.padded()))
 
 
 def gridfunction_from_csv(path) -> GridFunction:

@@ -9,17 +9,15 @@ sampled evidence on finite grids, never proofs.
 from __future__ import annotations
 
 import configparser
-import csv
 import io
 import math
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 import numpy as np
-from scipy.integrate import quad
 
 from .errors import ConfigError, ConstructionError, EvalDomainError
-from .orlicz import Grid
+from .orlicz import Grid, write_table
 from .young import (
     IndexPair,
     PathologicalParams,
@@ -28,6 +26,7 @@ from .young import (
     compute_indices,
     conjugate_inverse,
     cumulative_primitive,
+    diverging_maxima,
     log_grid,
     log_power_young,
     power_young,
@@ -173,10 +172,12 @@ def upsilon_ratio_reaction(upsilon: YoungFunction, c2: float = 1.0,
 
 @dataclass
 class ProblemSpec:
-    """Full data of the parametric singular problem on a grid."""
+    """Full data of the parametric singular problem on a grid.
 
-    a: Callable[[np.ndarray], np.ndarray]
-    a_prime: Callable[[np.ndarray], np.ndarray]
+    The operator is the phi-Laplacian: its coefficient a follows from the
+    generator through t a(t) = phi'(t), so only phi is stored.
+    """
+
     phi: YoungFunction
     reaction: Reaction
     upsilon: YoungFunction
@@ -199,12 +200,18 @@ class ProblemSpec:
             raise ConstructionError("lambda must be positive")
         if self.n_dim < 2:
             raise ConstructionError("dimension parameter must be >= 2")
-        t = log_grid(1e-3, 1e3, 40)
-        lhs = t * np.asarray(self.a(t), dtype=float)
-        rhs = self.phi.prime(t)
-        if np.max(np.abs(lhs - rhs) / np.maximum(np.abs(rhs), 1e-300)) > 1e-8:
-            raise ConstructionError(
-                f"{self.name}: t*a(t) inconsistent with the derivative of phi")
+
+    def a(self, t):
+        """Operator coefficient a(t) = phi'(t) / t."""
+        t = np.asarray(t, dtype=float)
+        return self.phi.prime(t) / t
+
+    def a_prime(self, t):
+        """a'(t), written through t a'/a = t phi''/phi' - 1 so that the
+        exact zero of the Laplacian stays exact."""
+        t = np.asarray(t, dtype=float)
+        d1 = self.phi.prime(t)
+        return d1 / t * (t * self.phi.second(t) / d1 - 1.0) / t
 
     @property
     def c2(self) -> float:
@@ -267,22 +274,8 @@ class HypothesisReport:
         return [e.line() for e in self.entries()]
 
     def to_csv(self, path) -> None:
-        with open(path, "w", newline="\n") as fh:
-            writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(["check", "passed", "detail"])
-            for e in self.entries():
-                writer.writerow([e.name, str(e.passed), e.detail])
-
-
-def _diverging_trend(grid: np.ndarray, vals: np.ndarray) -> bool:
-    """True when per-decade maxima keep growing fast across the tail."""
-    buckets = np.floor(np.log10(grid)).astype(int)
-    uniq = np.unique(buckets)
-    maxima = np.array([vals[buckets == b].max() for b in uniq])
-    if maxima.size < 4:
-        return False
-    tail = maxima[-4:]
-    return bool(np.all(np.diff(tail) > 0) and tail[-1] >= 8.0 * tail[0])
+        write_table(path, ["check", "passed", "detail"],
+                    ([e.name, str(e.passed), e.detail] for e in self.entries()))
 
 
 def check_ha1(a, a_prime, grid: Optional[np.ndarray] = None) -> CheckEntry:
@@ -297,7 +290,7 @@ def check_ha1(a, a_prime, grid: Optional[np.ndarray] = None) -> CheckEntry:
         raise EvalDomainError("non-finite ellipticity ratio on sample grid")
     inf_r = float(ratio.min())
     sup_r = float(ratio.max())
-    unbounded = _diverging_trend(grid, ratio)
+    unbounded = diverging_maxima(grid, ratio)
     passed = inf_r > -1.0 and not unbounded
     detail = f"inf={inf_r:.6g}, sup={sup_r:.6g}" + (", sup diverging" if unbounded else "")
     return CheckEntry("H(a)1", passed, detail,
@@ -367,7 +360,8 @@ def check_hf2(spec: ProblemSpec, n_samples: int = 200) -> CheckEntry:
 
 def check_hf3(spec: ProblemSpec, t_max: float = T_MAX_DEFAULT,
               n_samples: int = 200) -> CheckEntry:
-    """Superlinearity mu F(t) <= t f(t) above the threshold R."""
+    """Superlinearity mu F(t) <= t f(t) above the threshold R, with F the
+    primitive of f from 0."""
     s_phi = spec.phi_indices().upper
     if not (spec.mu > s_phi):
         return CheckEntry("H(f)3", False,
@@ -375,19 +369,7 @@ def check_hf3(spec: ProblemSpec, t_max: float = T_MAX_DEFAULT,
                           {"violation": math.inf, "mu": spec.mu, "s_phi": s_phi})
     R = spec.ar_threshold
     ts = np.geomspace(R, t_max, n_samples)
-
-    def f_scalar(s: float) -> float:
-        return float(spec.reaction.value(np.array([s]))[0])
-
-    F = np.empty_like(ts)
-    acc = 0.0
-    prev = R
-    for i, t in enumerate(ts):
-        if t > prev:
-            seg, _ = quad(f_scalar, prev, t, limit=200)
-            acc += seg
-        F[i] = acc
-        prev = t
+    F = spec.reaction.primitive(ts)
     tf = ts * spec.reaction.value(ts)
     viol = float(np.max((spec.mu * F - tf) / (1.0 + np.abs(tf))))
     passed = viol <= HF3_SLACK
@@ -427,42 +409,6 @@ def _find_ar_threshold(mu: float, gamma: float, upsilon: YoungFunction,
     raise ConstructionError("no dyadic superlinearity threshold found")
 
 
-def _log_power_operator(p: float):
-    def a(t):
-        t = np.asarray(t, dtype=float)
-        return t ** (p - 2.0) * np.log1p(t)
-
-    def a_prime(t):
-        t = np.asarray(t, dtype=float)
-        return (p - 2.0) * t ** (p - 3.0) * np.log1p(t) + t ** (p - 2.0) / (1.0 + t)
-
-    return a, a_prime
-
-
-def _power_operator(p: float):
-    def a(t):
-        t = np.asarray(t, dtype=float)
-        return t ** (p - 2.0)
-
-    def a_prime(t):
-        t = np.asarray(t, dtype=float)
-        return (p - 2.0) * t ** (p - 3.0)
-
-    return a, a_prime
-
-
-def _pathological_operator(psi: YoungFunction):
-    def a(t):
-        t = np.asarray(t, dtype=float)
-        return psi.prime(t) / t
-
-    def a_prime(t):
-        t = np.asarray(t, dtype=float)
-        return psi.second(t) / t - psi.prime(t) / t ** 2
-
-    return a, a_prime
-
-
 def _auto_mu(spec_phi: YoungFunction, upsilon: YoungFunction) -> float:
     s_phi = (spec_phi.indices or compute_indices(spec_phi)).upper
     i_ups = (upsilon.indices or compute_indices(upsilon)).lower
@@ -496,7 +442,6 @@ def builtin_example(name: str, *, p: float = 3.0, N: int = 4, r: float = 3.5,
                 f"A5 needs r in (p, p*-1) = ({p:g}, {p_star - 1.0:g}), got {r}")
         if not (0.0 < gamma < 1.0):
             raise ConstructionError(f"A5 needs gamma in (0,1), got {gamma}")
-        a, a_prime = _log_power_operator(p)
         phi = log_power_young(p)
         # the index ratio decays like 1/log(t); a wide grid is needed to
         # resolve the limit p at infinity
@@ -505,7 +450,7 @@ def builtin_example(name: str, *, p: float = 3.0, N: int = 4, r: float = 3.5,
         reaction = power_singular_reaction(r, c2=1.0, gamma=gamma)
         mu = _auto_mu(phi, upsilon)
         R = _find_ar_threshold(mu, gamma, upsilon, r + 1.0)
-        return ProblemSpec(a, a_prime, phi, reaction, upsilon, c1=1.0, mu=mu,
+        return ProblemSpec(phi, reaction, upsilon, c1=1.0, mu=mu,
                            ar_threshold=R, lam=1.0, n_dim=N,
                            grid=Grid(n_interior, length), seed=seed,
                            name=f"A5(p={p:g},N={N},r={r:g},gamma={gamma:g})")
@@ -520,28 +465,26 @@ def builtin_example(name: str, *, p: float = 3.0, N: int = 4, r: float = 3.5,
         s_idx = p + (q_star - p) / 3.0
         r_idx = p + 2.0 * (q_star - p) / 3.0
         phi = build_pathological(PathologicalParams.make(p, q, eps))
-        a, a_prime = _pathological_operator(phi)
         eps_ups = min(eps, 0.9 * (s_idx - 1.0) / ((r_idx - s_idx) / 2.0), 3.9)
         upsilon = build_pathological(PathologicalParams.make(r_idx, s_idx, eps_ups))
         reaction = upsilon_ratio_reaction(upsilon, c2=1.0, gamma=gamma)
         mu = _auto_mu(phi, upsilon)
         R = _find_ar_threshold(mu, gamma, upsilon,
                                (upsilon.indices or compute_indices(upsilon)).lower)
-        return ProblemSpec(a, a_prime, phi, reaction, upsilon, c1=1.0, mu=mu,
+        return ProblemSpec(phi, reaction, upsilon, c1=1.0, mu=mu,
                            ar_threshold=R, lam=1.0, n_dim=N,
                            grid=Grid(n_interior, length), seed=seed,
                            name=f"A4(q={q:g},p={p:g},s={s_idx:g},r={r_idx:g},N={N})")
 
     if key == "pathological-reaction":
         base_p = 2.0
-        a, a_prime = _power_operator(base_p)
         phi = power_young(base_p, coeff=1.0 / base_p)
         upsilon = build_pathological(PathologicalParams.make(3.0, 2.5, eps))
         reaction = upsilon_ratio_reaction(upsilon, c2=1.0, gamma=gamma)
         mu = _auto_mu(phi, upsilon)
         R = _find_ar_threshold(mu, gamma, upsilon,
                                (upsilon.indices or compute_indices(upsilon)).lower)
-        return ProblemSpec(a, a_prime, phi, reaction, upsilon, c1=1.0, mu=mu,
+        return ProblemSpec(phi, reaction, upsilon, c1=1.0, mu=mu,
                            ar_threshold=R, lam=1.0, n_dim=5,
                            grid=Grid(n_interior, length), seed=seed,
                            name="pathological-reaction")
@@ -596,12 +539,20 @@ def _getint(section, key, default):
         raise ConfigError(f"key {key!r}: {exc}") from exc
 
 
+def _getfloat_or_auto(section, key) -> Optional[float]:
+    """None when the key is "auto" or absent, else its float value."""
+    if section.get(key, "auto") == "auto":
+        return None
+    return _getfloat(section, key)
+
+
 def load_problem(path=None, text: Optional[str] = None,
                  overrides: Optional[list[str]] = None):
     """Build (ProblemSpec, SolverSettings, resolved_text) from INI input.
 
     Unknown sections or keys are hard errors.  Overrides are
-    "section.key=value" strings applied before validation.
+    "section.key=value" strings applied before validation.  Values the
+    problem objects reject are configuration errors too.
     """
     parser = configparser.ConfigParser()
     parser.optionxform = str
@@ -633,6 +584,16 @@ def load_problem(path=None, text: Optional[str] = None,
         if required not in parser:
             raise ConfigError(f"missing required section [{required}]")
 
+    try:
+        spec, settings = _problem_from_config(parser)
+    except ConstructionError as exc:
+        raise ConfigError(str(exc)) from exc
+    buf = io.StringIO()
+    parser.write(buf)
+    return spec, settings, buf.getvalue()
+
+
+def _problem_from_config(parser: configparser.ConfigParser):
     op = parser["operator"]
     kind = op.get("kind", "")
     n_dim = int(_getfloat(op, "N", 4))
@@ -640,19 +601,16 @@ def load_problem(path=None, text: Optional[str] = None,
     if kind == "power":
         if p <= 1.0:
             raise ConfigError(f"operator power needs p > 1, got {p}")
-        a, a_prime = _power_operator(p)
         phi = power_young(p, coeff=1.0 / p)
     elif kind == "log_power":
         if p <= 1.0:
             raise ConfigError(f"operator log_power needs p > 1, got {p}")
-        a, a_prime = _log_power_operator(p)
         phi = log_power_young(p)
         compute_indices(phi, log_grid(1e-4, 9.9e43, 4000))
     elif kind == "pathological":
         q = _getfloat(op, "q")
         eps = _getfloat(op, "eps")
         phi = build_pathological(PathologicalParams.make(p, q, eps))
-        a, a_prime = _pathological_operator(phi)
     else:
         raise ConfigError(f"unknown operator kind {kind!r}")
 
@@ -685,8 +643,8 @@ def load_problem(path=None, text: Optional[str] = None,
         raise ConfigError(f"unknown reaction kind {r_kind!r}")
 
     c1 = _getfloat(hyp, "c1", 1.0)
-    mu_raw = hyp.get("mu", "auto")
-    R_raw = hyp.get("R", "auto")
+    mu = _getfloat_or_auto(hyp, "mu")
+    R = _getfloat_or_auto(hyp, "R")
     t_max = _getfloat(hyp, "t_max", T_MAX_DEFAULT)
 
     gr = dict(parser["grid"]) if parser.has_section("grid") else {}
@@ -694,9 +652,8 @@ def load_problem(path=None, text: Optional[str] = None,
                 length=_getfloat(gr, "length", 1.0))
 
     so = dict(parser["solver"]) if parser.has_section("solver") else {}
-    lam_raw = so.get("lambda", "auto")
     settings = SolverSettings(
-        lam=None if lam_raw == "auto" else float(lam_raw),
+        lam=_getfloat_or_auto(so, "lambda"),
         seed=_getint(so, "seed", 1729),
         max_iter=_getint(so, "max_iter", 200000),
         tol_first=_getfloat(so, "tol_first", 1e-6),
@@ -704,30 +661,25 @@ def load_problem(path=None, text: Optional[str] = None,
         n_path=_getint(so, "n_path", 41),
         embed_trials=_getint(so, "embed_trials", 32),
         t_max=t_max)
+    if settings.embed_trials < 1:
+        raise ConfigError(f"solver.embed_trials must be >= 1, got {settings.embed_trials}")
 
-    try:
-        mu = _auto_mu(phi, upsilon) if mu_raw == "auto" else float(mu_raw)
-    except ConstructionError:
-        if mu_raw == "auto":
+    if mu is None:
+        try:
+            mu = _auto_mu(phi, upsilon)
+        except ConstructionError:
             # no admissible window; record a formally failing exponent so the
             # audit reports the failure instead of erroring out
             mu = (phi.indices or compute_indices(phi)).upper
-        else:
-            raise
-    if R_raw == "auto":
+    if R is None:
         try:
             i_ups = (upsilon.indices or compute_indices(upsilon)).lower
             R = _find_ar_threshold(mu, gamma, upsilon, i_ups)
         except ConstructionError:
             R = 1.0
-    else:
-        R = float(R_raw)
 
     lam0 = settings.lam if settings.lam is not None else 1.0
-    spec = ProblemSpec(a, a_prime, phi, reaction, upsilon, c1=c1, mu=mu,
+    spec = ProblemSpec(phi, reaction, upsilon, c1=c1, mu=mu,
                        ar_threshold=R, lam=lam0, n_dim=n_dim, grid=grid,
                        seed=settings.seed, name=f"config({kind},{r_kind})")
-
-    buf = io.StringIO()
-    parser.write(buf)
-    return spec, settings, buf.getvalue()
+    return spec, settings

@@ -8,16 +8,15 @@ a level-set iteration certifying a sup bound on computed solutions.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Optional
+from typing import Optional
 
 import numpy as np
 from scipy.linalg import solve_banded
 
 from .errors import ConstructionError, SolverError
-from .orlicz import Grid, GridFunction, cell_gradient, energy_modular, luxemburg_of
+from .orlicz import Grid, GridFunction, luxemburg_of, write_table
 from .problems import HypothesisReport, ProblemSpec, Reaction, run_all_checks
 from .threshold import (
     Admissibility,
@@ -27,7 +26,7 @@ from .threshold import (
     lambda_star,
     truncation_constants,
 )
-from .young import YoungFunction, compute_indices, conjugate_inverse
+from .young import YoungFunction
 
 __all__ = [
     "DeGiorgiReport",
@@ -37,6 +36,7 @@ __all__ = [
     "PipelineResult",
     "ResidualReport",
     "SubSolution",
+    "ThresholdStage",
     "TruncatedReaction",
     "build_subsolution",
     "degiorgi_bound",
@@ -44,7 +44,9 @@ __all__ = [
     "first_solution",
     "mountain_pass",
     "mountain_pass_path",
+    "solution_stage",
     "solve_torsion",
+    "threshold_stage",
     "truncate_reaction",
     "two_solution_pipeline",
     "uphill_endpoint",
@@ -785,17 +787,24 @@ def degiorgi_bound(u: GridFunction, p_exp: float, r_exp: float, k_start: float,
 
 
 # ---------------------------------------------------------------------------
-# pipeline and CSV output
+# pipeline stages and CSV output
 
 
 @dataclass
-class PipelineResult:
+class ThresholdStage:
+    """Audit report and everything the threshold stage derives from it."""
+
     report: HypothesisReport
-    sub: SubSolution
+    sub0: SubSolution
     constants: TruncationConstants
     threshold: ThresholdResult
     lam: float
     admissibility: Admissibility
+
+
+@dataclass
+class PipelineResult(ThresholdStage):
+    sub: SubSolution
     first: EnergyState
     first_flags: dict
     first_trace: DescentTrace
@@ -806,23 +815,20 @@ class PipelineResult:
     degiorgi: DeGiorgiReport
 
 
-def two_solution_pipeline(spec: ProblemSpec, lam: Optional[float] = None,
-                          tol_first: float = 1e-6, tol_mountain: float = 1e-4,
-                          n_path: int = 41, max_iter: int = 200000,
-                          embed_trials: int = 32, t_max: float = 1e4,
-                          rng: Optional[np.random.Generator] = None) -> PipelineResult:
-    """Hypothesis audit, thresholds, and both solutions in one sweep.
+def threshold_stage(spec: ProblemSpec, report: HypothesisReport,
+                    lam: Optional[float] = None, embed_trials: int = 32,
+                    rng: Optional[np.random.Generator] = None) -> ThresholdStage:
+    """Sub-solution, truncation constants, growth case, lambda_star, and the
+    weight lam (half the threshold when not given) with its radius.
 
-    The truncation constants come from the reference sub-solution of
-    the unit-weight problem; shrinking the sub-solution afterwards for
-    small weights only loosens those bounds, so the threshold computed
-    first stays valid for the final truncation.
+    Needs a passing audit.  The truncation constants come from the
+    reference sub-solution of the unit-weight problem; shrinking the
+    sub-solution afterwards for small weights only loosens those bounds,
+    so the threshold computed here stays valid for the final truncation.
     """
-    report = run_all_checks(spec, t_max=t_max)
     if not report.all_passed:
         raise SolverError("hypothesis audit failed:\n" + "\n".join(report.lines()))
-    delta = report.hf1.data["delta"]
-    sub0 = build_subsolution(spec, delta, lam=1.0)
+    sub0 = build_subsolution(spec, report.hf1.data["delta"], lam=1.0)
     constants = truncation_constants(spec, sub0.k1, sub0.k2)
     case = classify(spec.upsilon, spec.phi)
     if rng is None:
@@ -832,54 +838,65 @@ def two_solution_pipeline(spec: ProblemSpec, lam: Optional[float] = None,
         lam = thr.lambda_star / 2.0 if math.isfinite(thr.lambda_star) else 1.0
     if not (0.0 < lam < thr.lambda_star):
         raise SolverError(f"lambda {lam:g} not below the threshold {thr.lambda_star:g}")
-    spec.lam = lam
-    adm = thr.r_star(lam)
-    sub = sub0 if 1.0 / sub0.n_hat <= lam else build_subsolution(spec, delta, lam=lam)
+    return ThresholdStage(report=report, sub0=sub0, constants=constants, threshold=thr,
+                          lam=lam, admissibility=thr.r_star(lam))
+
+
+def solution_stage(spec: ProblemSpec, stage: ThresholdStage, tol_first: float = 1e-6,
+                   tol_mountain: float = 1e-4, n_path: int = 41,
+                   max_iter: int = 200000) -> PipelineResult:
+    """First solution, mountain pass, residual checks and the sup bound at
+    the weight chosen by the threshold stage."""
+    lam, r_star = stage.lam, stage.admissibility.r_star
+    sub = stage.sub0
+    if 1.0 / sub.n_hat > lam:
+        sub = build_subsolution(spec, stage.report.hf1.data["delta"], lam=lam)
     trunc = truncate_reaction(spec, sub)
-    first, flags, trace = first_solution(spec, trunc, adm.r_star, lam,
+    first, flags, trace = first_solution(spec, trunc, r_star, lam,
                                          tol=tol_first, max_iter=max_iter)
     if not flags["converged"]:
         raise SolverError(f"first solution stalled at residual {first.residual:.3e}")
     up = uphill_endpoint(spec, trunc, first, lam)
     mp = mountain_pass(spec, trunc, first, up, lam, n_path=n_path,
-                       tol=tol_mountain, max_outer=max_iter, r_star=adm.r_star)
+                       tol=tol_mountain, max_outer=max_iter, r_star=r_star)
     ver1 = verify_solution(spec, trunc, first.u, lam)
     ver2 = verify_solution(spec, trunc, mp.state.u, lam)
     p_exp = spec.phi_star_indices().lower
     r_exp = p_exp / spec.phi_indices().upper
     dg = degiorgi_bound(first.u, p_exp, r_exp,
                         k_start=max(0.6 * first.u.sup_norm(), 1e-9))
-    return PipelineResult(report=report, sub=sub, constants=constants,
-                          threshold=thr, lam=lam, admissibility=adm,
-                          first=first, first_flags=flags, first_trace=trace,
-                          uphill=up, mp=mp, verify_first=ver1,
+    return PipelineResult(**vars(stage), sub=sub, first=first, first_flags=flags,
+                          first_trace=trace, uphill=up, mp=mp, verify_first=ver1,
                           verify_second=ver2, degiorgi=dg)
+
+
+def two_solution_pipeline(spec: ProblemSpec, lam: Optional[float] = None,
+                          tol_first: float = 1e-6, tol_mountain: float = 1e-4,
+                          n_path: int = 41, max_iter: int = 200000,
+                          embed_trials: int = 32, t_max: float = 1e4,
+                          rng: Optional[np.random.Generator] = None) -> PipelineResult:
+    """Hypothesis audit, thresholds, and both solutions in one sweep.
+
+    The weight used is reported as result.lam; spec is not modified.
+    """
+    report = run_all_checks(spec, t_max=t_max)
+    stage = threshold_stage(spec, report, lam=lam, embed_trials=embed_trials, rng=rng)
+    return solution_stage(spec, stage, tol_first=tol_first, tol_mountain=tol_mountain,
+                          n_path=n_path, max_iter=max_iter)
 
 
 def write_solution_csv(path, grid: Grid, columns: dict) -> None:
     """Columns over padded nodes (boundary rows as zeros)."""
     xs = np.concatenate([[0.0], grid.nodes, [grid.length]])
-    names = list(columns)
-    padded = {name: np.concatenate([[0.0], np.asarray(v, dtype=float), [0.0]])
-              for name, v in columns.items()}
-    with open(path, "w", newline="\n") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["x"] + names)
-        for i, x in enumerate(xs):
-            writer.writerow([f"{x:.12g}"] + [f"{padded[n][i]:.12g}" for n in names])
+    padded = [np.concatenate([[0.0], np.asarray(v, dtype=float), [0.0]])
+              for v in columns.values()]
+    write_table(path, ["x", *columns], zip(xs, *padded))
 
 
 def write_convergence_csv(path, trace: DescentTrace) -> None:
-    with open(path, "w", newline="\n") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["iteration", "J", "residual"])
-        for it, j_val, res in trace.rows:
-            writer.writerow([it, f"{j_val:.12g}", f"{res:.12g}"])
+    write_table(path, ["iteration", "J", "residual"], trace.rows)
 
 
 def write_degiorgi_csv(path, report: DeGiorgiReport) -> None:
-    with open(path, "w", newline="\n") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["n", "k_n", "y_n"])
-        for n, (k, y) in enumerate(zip(report.levels, report.masses)):
-            writer.writerow([n, f"{k:.12g}", f"{y:.12g}"])
+    write_table(path, ["n", "k_n", "y_n"],
+                ((n, k, y) for n, (k, y) in enumerate(zip(report.levels, report.masses))))

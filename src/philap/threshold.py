@@ -8,7 +8,6 @@ of the four growth cases.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass, field
 from typing import Callable, Optional
@@ -16,7 +15,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .errors import CaseContradictionError, ConstructionError, UnclassifiableError
-from .orlicz import estimate_embedding_constant
+from .orlicz import estimate_embedding_constant, write_table
 from .problems import ProblemSpec
 from .young import (
     Ordering,
@@ -311,25 +310,12 @@ def kappa_curve(result: ThresholdResult, r_values, lam: float = 1.0) -> np.ndarr
 
 def write_threshold_csv(result: ThresholdResult, lams, path) -> None:
     """One row per requested lambda with the shared case constants."""
-    with open(path, "w", newline="\n") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["case", "C1", "C2", "A", "B", "theta",
-                         "lambda_star", "lambda", "r_star"])
-        for lam in lams:
-            adm = result.r_star(lam)
-            writer.writerow([
-                result.case.value,
-                f"{result.constants.C1:.12g}", f"{result.constants.C2:.12g}",
-                "" if result.A is None else f"{result.A:.12g}",
-                "" if result.B is None else f"{result.B:.12g}",
-                "" if result.theta is None else f"{result.theta:.12g}",
-                f"{result.lambda_star:.12g}", f"{lam:.12g}", f"{adm.r_star:.12g}"])
+    optional = ["" if v is None else v for v in (result.A, result.B, result.theta)]
+    write_table(path, ["case", "C1", "C2", "A", "B", "theta",
+                       "lambda_star", "lambda", "r_star"],
+                ([result.case.value, result.constants.C1, result.constants.C2, *optional,
+                  result.lambda_star, lam, result.r_star(lam).r_star] for lam in lams))
 
 
 def write_kappa_csv(result: ThresholdResult, r_values, path, lam: float = 1.0) -> None:
-    curve = kappa_curve(result, r_values, lam=lam)
-    with open(path, "w", newline="\n") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["r", "kappa_bound"])
-        for r, kb in curve:
-            writer.writerow([f"{r:.12g}", f"{kb:.12g}"])
+    write_table(path, ["r", "kappa_bound"], kappa_curve(result, r_values, lam=lam))

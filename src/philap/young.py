@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import Callable, Optional
+from typing import Optional
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
@@ -41,6 +41,7 @@ __all__ = [
     "conjugate_inverse",
     "cumulative_primitive",
     "delta2_nabla2",
+    "diverging_maxima",
     "exp_young",
     "inverse_value",
     "log_grid",
@@ -201,6 +202,18 @@ class YoungFunction:
         return self._apply(self._second, t)
 
 
+def diverging_maxima(grid: np.ndarray, vals: np.ndarray) -> bool:
+    """True when the per-decade maxima of vals keep growing: a monotone run
+    growing by >= 8x across the last four decades marks a ratio that is
+    unbounded at infinity."""
+    buckets = np.floor(np.log10(grid)).astype(int)
+    maxima = np.array([vals[buckets == b].max() for b in np.unique(buckets)])
+    if maxima.size < 4:
+        return False
+    tail = maxima[-4:]
+    return bool(np.all(np.diff(tail) > 0) and tail[-1] >= 8.0 * tail[0])
+
+
 def compute_indices(psi: YoungFunction, grid: Optional[np.ndarray] = None,
                     cache: bool = True) -> IndexPair:
     """Growth indices of psi sampled on a log grid.
@@ -231,16 +244,9 @@ def compute_indices(psi: YoungFunction, grid: Optional[np.ndarray] = None,
     at_lo = float(ratio[window].min())
     at_up = float(ratio[window].max())
 
-    # per-decade maxima; a monotone run growing by > 8x across four
-    # decades marks a ratio that is unbounded at infinity
-    buckets = np.floor(np.log10(grid)).astype(int)
-    uniq = np.unique(buckets)
-    maxima = np.array([ratio[buckets == b].max() for b in uniq])
-    if maxima.size >= 4:
-        tail = maxima[-4:]
-        if np.all(np.diff(tail) > 0) and tail[-1] >= 8.0 * tail[0]:
-            upper = math.inf
-            at_up = math.inf
+    if diverging_maxima(grid, ratio):
+        upper = math.inf
+        at_up = math.inf
     pair = IndexPair(lower, upper, at_lo, at_up)
     if cache:
         psi.cache_indices(pair)
@@ -521,6 +527,18 @@ def build_pathological(params: PathologicalParams) -> YoungFunction:
     return YoungFunction(value, derivative, second, name=name)
 
 
+def _panel_cumulative(fn, edges: np.ndarray, gl_order: int) -> np.ndarray:
+    """Running integral of fn over consecutive panels of edges, starting at
+    0 on edges[0]; each panel by Gauss-Legendre of the given order."""
+    nodes, weights = leggauss(gl_order)
+    mid = (edges[:-1] + edges[1:]) / 2.0
+    half = (edges[1:] - edges[:-1]) / 2.0
+    pts = mid[:, None] + half[:, None] * nodes[None, :]
+    vals = np.asarray(fn(pts.ravel()), dtype=float).reshape(pts.shape)
+    panels = (vals * weights[None, :]).sum(axis=1) * half
+    return np.concatenate([[0.0], np.cumsum(panels)])
+
+
 def cumulative_primitive(fn, cache_lo: float, cache_hi: float,
                          per_decade: int = 120, gl_order: int = 12):
     """Primitive F(t) = int_0^t fn, cached on a log grid.
@@ -537,16 +555,7 @@ def cumulative_primitive(fn, cache_lo: float, cache_hi: float,
     if d0 <= -1.0:
         raise SingularIntegrandError(f"head exponent {d0:.3f} <= -1, primitive diverges at 0")
     head = f_head * grid[0] / (d0 + 1.0)
-
-    nodes, weights = leggauss(gl_order)
-    lefts = grid[:-1]
-    rights = grid[1:]
-    mid = (lefts + rights) / 2.0
-    half = (rights - lefts) / 2.0
-    pts = mid[:, None] + half[:, None] * nodes[None, :]
-    vals = np.asarray(fn(pts.ravel()), dtype=float).reshape(pts.shape)
-    panels = (vals * weights[None, :]).sum(axis=1) * half
-    cum = head + np.concatenate([[0.0], np.cumsum(panels)])
+    cum = head + _panel_cumulative(fn, grid, gl_order)
     if not np.all(np.isfinite(cum)) or not np.all(np.diff(cum) > 0):
         raise SingularIntegrandError("cumulative quadrature produced a non-monotone table")
 
@@ -611,18 +620,8 @@ def theta_growth_integrals(phi: YoungFunction, n_dim: int,
     """
     k_max = max(k_range)
     edges = log_grid(1.0, 10.0 ** k_max, per_decade * k_max + 1)
-    nodes, weights = leggauss(gl_order)
-    mid = (edges[:-1] + edges[1:]) / 2.0
-    half = (edges[1:] - edges[:-1]) / 2.0
-    pts = mid[:, None] + half[:, None] * nodes[None, :]
-    vals = _theta_values(phi, n_dim, pts.ravel()).reshape(pts.shape)
-    panels = (vals * weights[None, :]).sum(axis=1) * half
-    cum = np.concatenate([[0.0], np.cumsum(panels)])
-    out = []
-    for k in k_range:
-        idx = int(round(per_decade * k))
-        out.append(float(cum[idx]))
-    return out
+    cum = _panel_cumulative(lambda s: _theta_values(phi, n_dim, s), edges, gl_order)
+    return [float(cum[int(round(per_decade * k))]) for k in k_range]
 
 
 def sobolev_conjugate(phi: YoungFunction, n_dim: int) -> YoungFunction:
@@ -661,35 +660,7 @@ def sobolev_conjugate(phi: YoungFunction, n_dim: int) -> YoungFunction:
         theta = theta.copy()
         theta[:patch_idx] = theta[patch_idx] * (grid[:patch_idx] / grid[patch_idx]) ** e_patch
         e_head = e_patch
-
-    nodes, weights = leggauss(10)
-    mid = (grid[:-1] + grid[1:]) / 2.0
-    half = (grid[1:] - grid[:-1]) / 2.0
-    pts = mid[:, None] + half[:, None] * nodes[None, :]
-    vals = _theta_values(phi, n_dim, pts.ravel()).reshape(pts.shape)
-    if patched:
-        low = pts < grid[patch_idx]
-        if low.any():
-            ref = theta[patch_idx]
-            vals = np.where(low, ref * (pts / grid[patch_idx]) ** e_head, vals)
-    panels = (vals * weights[None, :]).sum(axis=1) * half
-    head = theta[0] * grid[0] / (e_head + 1.0)
-    cum = head + np.concatenate([[0.0], np.cumsum(panels)])
-    if not np.all(np.isfinite(cum)) or not np.all(np.diff(cum) > 0):
-        raise SingularIntegrandError(f"{phi.name}: conjugate inverse table not monotone")
-    # saturation guard: the inverse must keep growing toward infinity
-    top = cum[-1] / cum[int(len(cum) * 0.9)]
-    if top < 1.0 + 1e-3:
-        raise ConstructionError(
-            f"{phi.name}: inverse integral saturates, conjugate undefined")
-
-    log_grid_pts = np.log(grid)
-    log_cum = np.log(cum)
-    inv_spline = PchipInterpolator(log_cum, log_grid_pts)
-    g0, c0 = grid[0], cum[0]
-    m0 = 1.0 / (e_head + 1.0)
-    t_lo_out = cum[0] * (1.0 + 1e-9)
-    t_hi_out = cum[-1] * (1.0 - 1e-9)
+    g0 = grid[0]
 
     def patched_theta(tau):
         tau = np.asarray(tau, dtype=float)
@@ -702,6 +673,24 @@ def sobolev_conjugate(phi: YoungFunction, n_dim: int) -> YoungFunction:
         if low2.any():
             out = np.where(low2, theta[0] * (tau / g0) ** e_head, out)
         return out
+
+    head = theta[0] * g0 / (e_head + 1.0)
+    cum = head + _panel_cumulative(patched_theta, grid, 10)
+    if not np.all(np.isfinite(cum)) or not np.all(np.diff(cum) > 0):
+        raise SingularIntegrandError(f"{phi.name}: conjugate inverse table not monotone")
+    # saturation guard: the inverse must keep growing toward infinity
+    top = cum[-1] / cum[int(len(cum) * 0.9)]
+    if top < 1.0 + 1e-3:
+        raise ConstructionError(
+            f"{phi.name}: inverse integral saturates, conjugate undefined")
+
+    log_grid_pts = np.log(grid)
+    log_cum = np.log(cum)
+    inv_spline = PchipInterpolator(log_cum, log_grid_pts)
+    c0 = cum[0]
+    m0 = 1.0 / (e_head + 1.0)
+    t_lo_out = cum[0] * (1.0 + 1e-9)
+    t_hi_out = cum[-1] * (1.0 - 1e-9)
 
     def value(t):
         t = np.atleast_1d(np.asarray(t, dtype=float))

@@ -148,11 +148,10 @@ def test_acceptance_3_threshold(a5_spec):
                       and abs(direct - compact) > 0.5)
 
     # all four growth cases keep lam * bound(r*) < 1
-    from philap.problems import ProblemSpec, _power_operator, power_singular_reaction
-    a3, ap3 = _power_operator(3.0)
+    from philap.problems import ProblemSpec, power_singular_reaction
 
     def spec_with(ups):
-        return ProblemSpec(a3, ap3, ph.power_young(3.0, coeff=1.0 / 3.0),
+        return ProblemSpec(ph.power_young(3.0, coeff=1.0 / 3.0),
                            power_singular_reaction(2.0, 1.0, 0.5), ups,
                            c1=1.0, mu=6.0, ar_threshold=1.0, lam=1.0, n_dim=5,
                            grid=ph.Grid(63, 1.0), seed=3)

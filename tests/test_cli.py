@@ -156,3 +156,27 @@ def test_manifest_records_seed_and_tolerances(a5_config, tmp_path):
     assert "config_sha256=" in manifest
     assert "tolerance_version=" in manifest
     assert "first_solution_tol=1e-6" in manifest
+
+
+@pytest.mark.parametrize("override", [
+    "solver.lambda=abc", "hypotheses.mu=foo", "hypotheses.R=x",
+    "solver.embed_trials=0", "grid.n_interior=0", "reaction.gamma=1.5"])
+def test_config_load_errors_exit_two(a5_config, tmp_path, capsys, override):
+    code = main(["lambda-star", "--config", str(a5_config), "--override", override,
+                 "--out", str(tmp_path / "o")])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("configuration error:")
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("command", ["mountain-pass", "solve", "degiorgi"])
+def test_pipeline_commands_audit_once(a5_config, tmp_path, monkeypatch, command):
+    from philap import problems
+
+    calls = []
+    check_ha2 = problems.check_ha2
+    monkeypatch.setattr(problems, "check_ha2",
+                        lambda spec: calls.append(spec) or check_ha2(spec))
+    main([command, "--config", str(a5_config), "--out", str(tmp_path / "o")])
+    assert len(calls) == 1

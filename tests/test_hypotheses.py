@@ -72,9 +72,8 @@ def test_ha2_log_power_example(a5_spec):
 
 
 def _power_spec(p, N, mu=4.25):
-    from philap.problems import ProblemSpec, _power_operator
-    a, ap = _power_operator(p)
-    return ProblemSpec(a, ap, ph.power_young(p, coeff=1.0 / p),
+    from philap.problems import ProblemSpec
+    return ProblemSpec(ph.power_young(p, coeff=1.0 / p),
                        power_singular_reaction(3.5, 1.0, 0.5),
                        ph.power_young(4.5), c1=1.0, mu=mu, ar_threshold=4.0,
                        lam=1.0, n_dim=N, grid=ph.Grid(31, 1.0), name="power-spec")
@@ -293,12 +292,12 @@ def test_config_bad_operator():
         ph.load_problem(text=A5_CONFIG.replace("p = 3.0", "p = 0.5"))
 
 
-def test_spec_consistency_guard(a5_spec):
-    # t a(t) must match the derivative of the generator
-    from philap.problems import ProblemSpec
-    with pytest.raises(ConstructionError):
-        ProblemSpec(lambda t: t ** 2.0, lambda t: 2.0 * t,
-                    ph.power_young(3.0, coeff=1.0 / 3.0),
-                    power_singular_reaction(3.5, 1.0, 0.5),
-                    ph.power_young(4.5), c1=1.0, mu=4.25, ar_threshold=4.0,
-                    lam=1.0, n_dim=4, grid=ph.Grid(15, 1.0))
+def test_operator_derived_from_phi():
+    # t a(t) = phi'(t); the Laplacian keeps an exactly zero a'
+    t = ph.log_grid(1e-3, 1e3, 50)
+    laplacian = _power_spec(2.0, 4)
+    assert np.all(laplacian.a(t) == 1.0)
+    assert np.all(laplacian.a_prime(t) == 0.0)
+    cubic = _power_spec(3.0, 4)  # phi = t^3/3, a = t
+    assert np.allclose(t * cubic.a(t), cubic.phi.prime(t), rtol=1e-14, atol=0.0)
+    assert np.allclose(cubic.a_prime(t), 1.0, rtol=1e-13, atol=0.0)

@@ -79,6 +79,12 @@ def test_subsolution_respects_lambda(a5_pipeline):
     assert 1.0 / a5_pipeline.sub.n_hat <= a5_pipeline.lam
 
 
+def test_pipeline_leaves_spec_lam(a5_spec, a5_pipeline):
+    # the weight is reported on the result; the input spec keeps its own
+    assert a5_spec.lam == 1.0
+    assert a5_pipeline.lam != a5_spec.lam
+
+
 def test_subsolution_shrinks_with_load(a5_spec, a5_report):
     delta = a5_report.hf1.data["delta"]
     s_coarse = ph.build_subsolution(a5_spec, delta, lam=1.0)

@@ -9,7 +9,7 @@ import philap as ph
 from philap import GrowthCase
 from philap.errors import CaseContradictionError, UnclassifiableError
 from philap.orlicz import Grid
-from philap.problems import ProblemSpec, _power_operator, power_singular_reaction
+from philap.problems import ProblemSpec, power_singular_reaction
 from philap.threshold import (
     TruncationConstants,
     case_four_minimum,
@@ -20,16 +20,15 @@ from philap.threshold import (
 )
 
 
-def make_spec(phi, upsilon, p_op, N=5, seed=3, n=63, length=1.0):
-    a, ap = _power_operator(p_op)
-    return ProblemSpec(a, ap, phi, power_singular_reaction(2.0, 1.0, 0.5),
+def make_spec(phi, upsilon, N=5, seed=3, n=63, length=1.0):
+    return ProblemSpec(phi, power_singular_reaction(2.0, 1.0, 0.5),
                        upsilon, c1=1.0, mu=6.0, ar_threshold=1.0, lam=1.0,
                        n_dim=N, grid=Grid(n, length), seed=seed, name="synthetic")
 
 
 @pytest.fixture(scope="module")
 def cubic_spec():
-    return make_spec(ph.power_young(3.0, coeff=1.0 / 3.0), ph.power_young(2.0), 3.0)
+    return make_spec(ph.power_young(3.0, coeff=1.0 / 3.0), ph.power_young(2.0))
 
 
 TC = TruncationConstants(C1=5.0, C2=4.0, alpha=1.0, beta=1.0)
@@ -41,7 +40,7 @@ TC = TruncationConstants(C1=5.0, C2=4.0, alpha=1.0, beta=1.0)
 
 def test_constants_direct_substitution():
     # c1 = c2 = 1, gamma = 1/2, k2 d = 1, ups(1) = 1: C1 = 2+1+2, C2 = 2+2
-    spec = make_spec(ph.power_young(3.0, coeff=1.0 / 3.0), ph.power_young(4.5), 3.0)
+    spec = make_spec(ph.power_young(3.0, coeff=1.0 / 3.0), ph.power_young(4.5))
     tc = truncation_constants(spec, k1=1.0, k2=1.0)
     assert tc.C1 == pytest.approx(5.0, rel=1e-12)
     assert tc.C2 == pytest.approx(4.0, rel=1e-12)
@@ -143,7 +142,7 @@ def test_case_much_less(cubic_spec):
 def test_case_less_threshold_formula():
     # envelope equals the generator: c = 1 and lam* = 1/(C2 zbar(2 d))
     spec = make_spec(ph.power_young(3.0, coeff=1.0 / 3.0),
-                     ph.power_young(3.0, coeff=1.0 / 3.0), 3.0)
+                     ph.power_young(3.0, coeff=1.0 / 3.0))
     thr = lambda_star(spec, TC, GrowthCase.LESS)
     assert thr.c_used == 1.0
     assert thr.lambda_star == pytest.approx(1.0 / (4.0 * 8.0))
@@ -154,15 +153,14 @@ def test_case_less_threshold_formula():
 
 def test_case_less_trivial_quarter():
     # C2 = 1 with quadratic generator: zbar(2) = 4 so lam* = 1/4
-    spec = make_spec(ph.power_young(2.0, coeff=0.5), ph.power_young(2.0, coeff=0.25),
-                     2.0)
+    spec = make_spec(ph.power_young(2.0, coeff=0.5), ph.power_young(2.0, coeff=0.25))
     tc = TruncationConstants(C1=1.0, C2=1.0, alpha=1.0, beta=1.0)
     thr = lambda_star(spec, tc, GrowthCase.LESS)
     assert thr.lambda_star == pytest.approx(0.25)
 
 
 def test_case_much_greater(cubic_spec):
-    spec = make_spec(ph.power_young(3.0, coeff=1.0 / 3.0), ph.power_young(4.5), 3.0)
+    spec = make_spec(ph.power_young(3.0, coeff=1.0 / 3.0), ph.power_young(4.5))
     thr = lambda_star(spec, TC, GrowthCase.MUCH_GREATER)
     assert thr.theta == pytest.approx(0.5)
     lam = thr.lambda_star / 2.0
@@ -179,7 +177,7 @@ def greater_case():
     ups = ph.YoungFunction(lambda t: t ** 3 * np.log1p(t),
                            lambda t: 3.0 * t ** 2 * np.log1p(t) + t ** 3 / (1.0 + t),
                            name="t3log")
-    spec = make_spec(ph.power_young(3.0, coeff=1.0 / 3.0), ups, 3.0, N=5)
+    spec = make_spec(ph.power_young(3.0, coeff=1.0 / 3.0), ups, N=5)
     return spec, lambda_star(spec, TC, GrowthCase.GREATER)
 
 
@@ -214,9 +212,9 @@ def test_intermediate_index_average(greater_case):
 
 
 def test_lambda_star_monotone_in_c2():
-    spec = make_spec(ph.power_young(3.0, coeff=1.0 / 3.0), ph.power_young(4.5), 3.0)
+    spec = make_spec(ph.power_young(3.0, coeff=1.0 / 3.0), ph.power_young(4.5))
     spec_eq = make_spec(ph.power_young(3.0, coeff=1.0 / 3.0),
-                        ph.power_young(3.0, coeff=1.0 / 3.0), 3.0)
+                        ph.power_young(3.0, coeff=1.0 / 3.0))
     prev4 = prev2 = math.inf
     for c2 in (1.0, 2.0, 4.0, 8.0):
         tc = TruncationConstants(C1=5.0, C2=c2, alpha=1.0, beta=1.0)
@@ -244,7 +242,7 @@ def test_kappa_curve_monotone_cases(cubic_spec):
     assert curve[-1, 1] == pytest.approx(tail, rel=1e-2)
 
     spec2 = make_spec(ph.power_young(3.0, coeff=1.0 / 3.0),
-                      ph.power_young(3.0, coeff=1.0 / 3.0), 3.0)
+                      ph.power_young(3.0, coeff=1.0 / 3.0))
     thr2 = lambda_star(spec2, TC, GrowthCase.LESS)
     curve2 = kappa_curve(thr2, r, lam=thr2.lambda_star / 2.0)
     assert np.all(np.diff(curve2[:, 1]) <= 0.0)  # flat tail saturates exactly
@@ -252,7 +250,7 @@ def test_kappa_curve_monotone_cases(cubic_spec):
 
 
 def test_kappa_curve_u_shape_case_four():
-    spec = make_spec(ph.power_young(3.0, coeff=1.0 / 3.0), ph.power_young(4.5), 3.0)
+    spec = make_spec(ph.power_young(3.0, coeff=1.0 / 3.0), ph.power_young(4.5))
     thr = lambda_star(spec, TC, GrowthCase.MUCH_GREATER)
     r = np.geomspace(thr.r_min / 100.0, thr.r_min * 100.0, 201)
     curve = kappa_curve(thr, r)
@@ -267,12 +265,12 @@ def test_admissibility_all_four_cases(cubic_spec, greater_case):
     thr1 = lambda_star(cubic_spec, TC, GrowthCase.MUCH_LESS)
     rows.append((thr1, 1.0))
     spec2 = make_spec(ph.power_young(3.0, coeff=1.0 / 3.0),
-                      ph.power_young(3.0, coeff=1.0 / 3.0), 3.0)
+                      ph.power_young(3.0, coeff=1.0 / 3.0))
     thr2 = lambda_star(spec2, TC, GrowthCase.LESS)
     rows.append((thr2, thr2.lambda_star / 2.0))
     spec3, thr3 = greater_case
     rows.append((thr3, thr3.lambda_star / 2.0))
-    spec4 = make_spec(ph.power_young(3.0, coeff=1.0 / 3.0), ph.power_young(4.5), 3.0)
+    spec4 = make_spec(ph.power_young(3.0, coeff=1.0 / 3.0), ph.power_young(4.5))
     thr4 = lambda_star(spec4, TC, GrowthCase.MUCH_GREATER)
     rows.append((thr4, thr4.lambda_star / 2.0))
     for thr, lam in rows:
@@ -288,7 +286,7 @@ def test_admissibility_all_four_cases(cubic_spec, greater_case):
 
 
 def test_threshold_csv(tmp_path, cubic_spec):
-    spec = make_spec(ph.power_young(3.0, coeff=1.0 / 3.0), ph.power_young(4.5), 3.0)
+    spec = make_spec(ph.power_young(3.0, coeff=1.0 / 3.0), ph.power_young(4.5))
     thr = lambda_star(spec, TC, GrowthCase.MUCH_GREATER)
     path = tmp_path / "thr.csv"
     ph.threshold.write_threshold_csv(thr, [thr.lambda_star / 2.0], path)

@@ -48,9 +48,9 @@ class Grid:
     length: float = 1.0
 
     def __post_init__(self):
-        if self.n_interior < 1 or self.length <= 0.0:
+        if self.n_interior < 1 or not (math.isfinite(self.length) and self.length > 0.0):
             raise ConstructionError(
-                f"grid needs n_interior >= 1 and length > 0, got "
+                f"grid needs n_interior >= 1 and finite length > 0, got "
                 f"{self.n_interior}, {self.length}")
 
     @property

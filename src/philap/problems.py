@@ -646,6 +646,8 @@ def _problem_from_config(parser: configparser.ConfigParser):
     mu = _getfloat_or_auto(hyp, "mu")
     R = _getfloat_or_auto(hyp, "R")
     t_max = _getfloat(hyp, "t_max", T_MAX_DEFAULT)
+    if not (math.isfinite(t_max) and t_max > 0.0):
+        raise ConfigError(f"hypotheses.t_max must be finite and > 0, got {t_max}")
 
     gr = dict(parser["grid"]) if parser.has_section("grid") else {}
     grid = Grid(n_interior=_getint(gr, "n_interior", 127),
@@ -663,6 +665,8 @@ def _problem_from_config(parser: configparser.ConfigParser):
         t_max=t_max)
     if settings.embed_trials < 1:
         raise ConfigError(f"solver.embed_trials must be >= 1, got {settings.embed_trials}")
+    if settings.seed < 0:
+        raise ConfigError(f"solver.seed must be >= 0, got {settings.seed}")
 
     if mu is None:
         try:

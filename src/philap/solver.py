@@ -13,7 +13,6 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
-from scipy.linalg import solve_banded
 
 from .errors import ConstructionError, SolverError
 from .orlicz import Grid, GridFunction, luxemburg_of, write_table
@@ -92,6 +91,10 @@ def _cell_weights(phi: YoungFunction, grid: Grid, u: np.ndarray) -> np.ndarray:
 
 
 def _banded_solve(diag: np.ndarray, off: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    # imported here so that importing philap, and the commands that never
+    # solve, do not pay for scipy
+    from scipy.linalg import solve_banded
+
     n = diag.size
     ab = np.zeros((3, n))
     ab[0, 1:] = off

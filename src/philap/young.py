@@ -15,7 +15,6 @@ from typing import Optional
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
-from scipy.interpolate import CubicSpline, PchipInterpolator
 
 from .errors import (
     ConstructionError,
@@ -83,10 +82,11 @@ def _solve_increasing(fn, target, lo, hi, iters: int = ROOT_RTOL_ITERS) -> np.nd
     a = np.full(t.shape, float(lo))
     b = np.full(t.shape, float(hi))
     for _ in range(iters):
-        mid = np.sqrt(a * b)
+        mid = a * b
+        np.sqrt(mid, out=mid)
         high = fn(mid) >= t
-        b = np.where(high, mid, b)
-        a = np.where(high, a, mid)
+        np.copyto(b, mid, where=high)
+        np.copyto(a, mid, where=~high)
     return np.sqrt(a * b)
 
 
@@ -178,15 +178,19 @@ class YoungFunction:
     def _apply(self, fn, t):
         arr = self._check(t)
         scalar = arr.ndim == 0
-        flat = np.atleast_1d(arr).astype(float)
-        out = np.zeros_like(flat)
+        flat = np.atleast_1d(arr)
         pos = flat > 0.0
-        if pos.any():
-            with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-                vals = np.asarray(fn(flat[pos]), dtype=float)
-            if not np.all(np.isfinite(vals)):
-                raise EvalDomainError(f"{self.name}: non-finite value inside domain")
-            out[pos] = vals
+        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+            if pos.all():
+                # no masked copies in the common all-positive case: large
+                # temporaries cost the allocator fresh pages
+                out = np.asarray(fn(flat), dtype=float)
+            else:
+                out = np.zeros_like(flat)
+                if pos.any():
+                    out[pos] = fn(flat[pos])
+        if not np.all(np.isfinite(out)):
+            raise EvalDomainError(f"{self.name}: non-finite value inside domain")
         out = out.reshape(arr.shape) if not scalar else out
         return float(out[0]) if scalar else out
 
@@ -539,6 +543,55 @@ def _panel_cumulative(fn, edges: np.ndarray, gl_order: int) -> np.ndarray:
     return np.concatenate([[0.0], np.cumsum(panels)])
 
 
+def _loglog_hermite(knots: np.ndarray, values: np.ndarray, slopes: np.ndarray):
+    """Cubic Hermite interpolant of values over positive knots in log-log space.
+
+    slopes are the exact log-log slopes d log(value) / d log(knot) at the
+    knots.  Below the first knot the table continues linearly in log-log,
+    i.e. as the power law with the first slope.  Knots uniform in log, as
+    from log_grid, find their interval by index arithmetic; other knots by
+    binary search.
+    """
+    x = np.log(knots)
+    y = np.log(values)
+    n = x.size
+    h = np.diff(x)
+    dy = np.diff(y)
+    d0 = h * slopes[:-1]
+    d1 = h * slopes[1:]
+    c0, c1, c2, c3 = y[:-1], d0, 3.0 * dy - 2.0 * d0 - d1, d0 + d1 - 2.0 * dy
+    x0 = x[0]
+    step = (x[-1] - x0) / (n - 1)
+    inv_step = 1.0 / step
+    uniform = bool(np.all(np.abs(h - step) <= 1e-9 * step))
+
+    def table(t):
+        # worked in place: inputs reach tens of thousands of points, and
+        # every large temporary costs the allocator fresh pages
+        s = np.log(np.atleast_1d(t))
+        if uniform:
+            s -= x0
+            s *= inv_step
+            i = np.fmin(np.fmax(s, 0.0), n - 2).astype(np.intp)
+            s -= i
+        else:
+            i = np.clip(np.searchsorted(x, s, side="right") - 1, 0, n - 2)
+            s -= x[i]
+            s /= h[i]
+        # s < 0 only below the first knot, where the cubic terms drop out
+        sp = np.maximum(s, 0.0)
+        acc = c3.take(i)
+        acc *= sp
+        acc += c2.take(i)
+        acc *= sp
+        acc += c1.take(i)
+        acc *= s
+        acc += c0.take(i)
+        return np.exp(acc, out=acc)
+
+    return table
+
+
 def cumulative_primitive(fn, cache_lo: float, cache_hi: float,
                          per_decade: int = 120, gl_order: int = 12):
     """Primitive F(t) = int_0^t fn, cached on a log grid.
@@ -546,33 +599,20 @@ def cumulative_primitive(fn, cache_lo: float, cache_hi: float,
     Panel Gauss-Legendre accumulates the integral across the grid; the
     head below the grid is closed with the fitted local power of fn.
     Returns (value_callable, grid, cumulative) where the callable
-    extrapolates with the fitted power behavior below the cache.
+    interpolates the table in log-log space and extrapolates with the
+    fitted power behavior below the cache.
     """
     grid = log_grid(cache_lo, cache_hi, int(per_decade * math.log10(cache_hi / cache_lo)) + 1)
-    f_head = float(np.asarray(fn(np.array([grid[0]])), float)[0])
-    f_next = float(np.asarray(fn(np.array([grid[3]])), float)[0])
-    d0 = math.log(f_next / f_head) / math.log(grid[3] / grid[0])
+    f_grid = np.asarray(fn(grid), dtype=float)
+    d0 = math.log(f_grid[3] / f_grid[0]) / math.log(grid[3] / grid[0])
     if d0 <= -1.0:
         raise SingularIntegrandError(f"head exponent {d0:.3f} <= -1, primitive diverges at 0")
-    head = f_head * grid[0] / (d0 + 1.0)
+    head = f_grid[0] * grid[0] / (d0 + 1.0)
     cum = head + _panel_cumulative(fn, grid, gl_order)
     if not np.all(np.isfinite(cum)) or not np.all(np.diff(cum) > 0):
         raise SingularIntegrandError("cumulative quadrature produced a non-monotone table")
-
-    spline = CubicSpline(np.log(grid), np.log(cum))
-    g0 = grid[0]
-    c0 = cum[0]
-
-    def value(t):
-        t = np.atleast_1d(np.asarray(t, dtype=float))
-        out = np.empty_like(t)
-        low = t < g0
-        if low.any():
-            out[low] = c0 * (t[low] / g0) ** (d0 + 1.0)
-        if (~low).any():
-            out[~low] = np.exp(spline(np.log(t[~low])))
-        return out
-
+    # log-log slope t f(t)/F(t); at grid[0] it is the fitted head power d0 + 1
+    value = _loglog_hermite(grid, cum, grid * f_grid / cum)
     return value, grid, cum
 
 
@@ -684,23 +724,11 @@ def sobolev_conjugate(phi: YoungFunction, n_dim: int) -> YoungFunction:
         raise ConstructionError(
             f"{phi.name}: inverse integral saturates, conjugate undefined")
 
-    log_grid_pts = np.log(grid)
-    log_cum = np.log(cum)
-    inv_spline = PchipInterpolator(log_cum, log_grid_pts)
-    c0 = cum[0]
-    m0 = 1.0 / (e_head + 1.0)
+    # the inverse t -> s has log-log slope cum / (s theta(s)); at grid[0]
+    # it is the head power 1 / (e_head + 1)
+    value = _loglog_hermite(cum, grid, cum / (grid * theta))
     t_lo_out = cum[0] * (1.0 + 1e-9)
     t_hi_out = cum[-1] * (1.0 - 1e-9)
-
-    def value(t):
-        t = np.atleast_1d(np.asarray(t, dtype=float))
-        out = np.empty_like(t)
-        low = t < c0
-        if low.any():
-            out[low] = g0 * (t[low] / c0) ** m0
-        if (~low).any():
-            out[~low] = np.exp(inv_spline(np.log(t[~low])))
-        return out
 
     def derivative(t):
         tau = value(t)

@@ -1,8 +1,14 @@
 """Command-line interface: exit codes, reports, determinism, manifest."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import philap
 from philap.cli import main
 
 A5_CONFIG = """
@@ -160,7 +166,9 @@ def test_manifest_records_seed_and_tolerances(a5_config, tmp_path):
 
 @pytest.mark.parametrize("override", [
     "solver.lambda=abc", "hypotheses.mu=foo", "hypotheses.R=x",
-    "solver.embed_trials=0", "grid.n_interior=0", "reaction.gamma=1.5"])
+    "solver.embed_trials=0", "grid.n_interior=0", "reaction.gamma=1.5",
+    "solver.seed=-1", "hypotheses.t_max=0", "hypotheses.t_max=-5",
+    "grid.length=nan", "grid.length=inf"])
 def test_config_load_errors_exit_two(a5_config, tmp_path, capsys, override):
     code = main(["lambda-star", "--config", str(a5_config), "--override", override,
                  "--out", str(tmp_path / "o")])
@@ -180,3 +188,13 @@ def test_pipeline_commands_audit_once(a5_config, tmp_path, monkeypatch, command)
                         lambda spec: calls.append(spec) or check_ha2(spec))
     main([command, "--config", str(a5_config), "--out", str(tmp_path / "o")])
     assert len(calls) == 1
+
+
+def test_import_leaves_scipy_unloaded():
+    # scipy serves only the banded solve and is imported at the first one
+    code = ("import sys, philap.cli; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    env = {**os.environ, "PYTHONPATH": str(Path(philap.__file__).parents[1])}
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=env, check=True, timeout=120)
+    assert proc.stdout.strip() == "[]"

@@ -221,11 +221,6 @@ class ProblemSpec:
     def gamma(self) -> float:
         return self.reaction.gamma
 
-    def f(self, x, s):
-        """Reaction at (x, s); built-ins are autonomous in x."""
-        del x
-        return self.reaction.value(s)
-
     @property
     def phi_star(self) -> YoungFunction:
         if self._phi_star is None:
@@ -667,6 +662,12 @@ def _problem_from_config(parser: configparser.ConfigParser):
         raise ConfigError(f"solver.embed_trials must be >= 1, got {settings.embed_trials}")
     if settings.seed < 0:
         raise ConfigError(f"solver.seed must be >= 0, got {settings.seed}")
+    if settings.max_iter < 1:
+        raise ConfigError(f"solver.max_iter must be >= 1, got {settings.max_iter}")
+    for key in ("tol_first", "tol_mountain"):
+        tol = getattr(settings, key)
+        if not (math.isfinite(tol) and tol > 0.0):
+            raise ConfigError(f"solver.{key} must be finite and > 0, got {tol}")
 
     if mu is None:
         try:

@@ -1,9 +1,10 @@
 """Discrete variational pipeline for the singular quasilinear problem.
 
 Torsion sub-solution, reaction truncation at the sub-solution level,
-energy descent for the constrained first solution, a path-deformation
-search for the mountain-pass solution, weak-residual verification, and
-a level-set iteration certifying a sup bound on computed solutions.
+energy descent for the constrained first solution, a Newton polish from
+the crest of a discrete path (path deformation as the fallback) for the
+mountain-pass solution, weak-residual verification, and a level-set
+iteration certifying a sup bound on computed solutions.
 """
 
 from __future__ import annotations
@@ -260,7 +261,6 @@ class TruncatedReaction:
     reaction: Reaction
     sub: SubSolution
     constants: TruncationConstants
-    measure: float
     ub: np.ndarray = field(init=False)
     f_ub: np.ndarray = field(init=False)
     prim_ub: np.ndarray = field(init=False)
@@ -298,14 +298,10 @@ class TruncatedReaction:
                        self.reaction.derivative(np.maximum(a, self.ub)), 0.0)
         return np.sign(s) * out
 
-    def pi(self, upsilon: YoungFunction, rho) -> np.ndarray:
-        return self.constants.pi(upsilon, rho, self.measure)
-
 
 def truncate_reaction(spec: ProblemSpec, sub: SubSolution) -> TruncatedReaction:
     constants = truncation_constants(spec, sub.k1, sub.k2)
-    return TruncatedReaction(reaction=spec.reaction, sub=sub, constants=constants,
-                             measure=spec.grid.measure)
+    return TruncatedReaction(reaction=spec.reaction, sub=sub, constants=constants)
 
 
 # ---------------------------------------------------------------------------
@@ -447,97 +443,21 @@ def uphill_endpoint(spec: ProblemSpec, trunc: TruncatedReaction,
                       "superlinearity violated numerically")
 
 
-def _retension(states: np.ndarray, energies: np.ndarray, j_fn, focus: int):
-    """Arc-length resampling with extra resolution around the focus state,
-    followed by energy-decreasing midpoint replacement away from the crest."""
-    n = states.shape[0]
-    seg = np.linalg.norm(np.diff(states, axis=0), axis=1)
-    total = float(seg.sum())
-    if total == 0.0:
-        return states, energies
-    cum = np.concatenate([[0.0], np.cumsum(seg)])
-    t_focus = cum[focus] / total
-    # concentrate half the parameter budget in a shrinking window around
-    # the current maximum so the ridge stays resolved
-    width = max(0.05, 2.0 / n)
-    base = np.linspace(0.0, 1.0, n)
-    bump = np.exp(-0.5 * ((base - t_focus) / width) ** 2)
-    density = 1.0 + 4.0 * bump
-    params = np.concatenate([[0.0], np.cumsum(density[:-1] + density[1:])])
-    params /= params[-1]
-    targets = params * total
-    new_states = np.empty_like(states)
-    new_states[0] = states[0]
-    new_states[-1] = states[-1]
-    for i in range(1, n - 1):
-        t = targets[i]
-        k = int(np.searchsorted(cum, t, side="right") - 1)
-        k = min(max(k, 0), n - 2)
-        denom = cum[k + 1] - cum[k]
-        w = 0.0 if denom == 0.0 else (t - cum[k]) / denom
-        new_states[i] = (1.0 - w) * states[k] + w * states[k + 1]
-    new_e = np.array([j_fn(s) for s in new_states])
-    crest = 1 + int(np.argmax(new_e[1:-1]))
-    for i in range(1, n - 1):
-        if abs(i - crest) <= 1:
-            continue
-        mid = 0.5 * (new_states[i - 1] + new_states[i + 1])
-        jm = j_fn(mid)
-        if jm < new_e[i]:
-            new_states[i] = mid
-            new_e[i] = jm
-    return new_states, new_e
-
-
-def _locate_crest(states: np.ndarray, energies: np.ndarray, j_fn,
-                  iters: int = 16):
-    """Maximize the energy along the piecewise-linear path, not just at
-    the sampled states.  The crest node is moved onto the interpolated
-    maximum of its two adjacent segments; this keeps a ridge from
-    slipping between samples while its flanks are pulled down."""
-    invphi = (math.sqrt(5.0) - 1.0) / 2.0
-    k = 1 + int(np.argmax(energies[1:-1]))
-    best_val = energies[k]
-    best_pt = None
-    for left, right in ((k - 1, k), (k, k + 1)):
-        a_pt, b_pt = states[left], states[right]
-        a, b = 0.0, 1.0
-        for _ in range(iters):
-            c = b - invphi * (b - a)
-            d = a + invphi * (b - a)
-            jc = j_fn((1.0 - c) * a_pt + c * b_pt)
-            jd = j_fn((1.0 - d) * a_pt + d * b_pt)
-            if jc > jd:
-                b = d
-            else:
-                a = c
-        w = 0.5 * (a + b)
-        pt = (1.0 - w) * a_pt + w * b_pt
-        val = j_fn(pt)
-        if val > best_val:
-            best_val = val
-            best_pt = pt
-    if best_pt is not None:
-        states[k] = best_pt
-        energies[k] = best_val
-    return k
-
-
 def mountain_pass_path(j_fn, grad_fn, direction_fn, u0: np.ndarray,
                        u1: np.ndarray, n_path: int = 41, tol: float = 1e-4,
-                       max_outer: int = 100000, retension_every: int = 10,
-                       collapse_tol: Optional[float] = None,
-                       polish_solve=None, polish_every: int = 50):
-    """Deform a discrete path between two low states under its maximum.
+                       max_outer: int = 100000,
+                       collapse_tol: Optional[float] = None, polish_solve=None):
+    """Critical point at the crest of a discrete path between two low states.
 
-    Repeatedly takes a descent step on the maximum-energy interior
-    state and re-tensions the path by energy-decreasing interpolation.
-    Steps are capped by half the distance to the neighboring states so
-    the crest cannot teleport past the ridge it is resolving.  A damped
-    Newton polish on the weak residual is attempted periodically; a
-    polished point is accepted only when its residual is below tol and
-    its energy stays above both endpoints, so the polish cannot land on
-    the minimizer the path starts from.
+    Each outer iteration takes the maximum-energy interior state as the
+    crest.  With a Hessian solve, a damped Newton polish on the weak
+    residual is tried from it first; the polished point is accepted only
+    when its residual is below tol and its energy stays above both
+    endpoints, so the polish cannot land on the minimizer the path starts
+    from.  Otherwise the crest takes one descent step, capped by half the
+    distance to its path neighbors so it cannot teleport past the ridge
+    it is resolving, and the next iteration polishes from the new crest.
+    The path collapses when its crest falls to the endpoint level.
     """
     if collapse_tol is None:
         collapse_tol = tol
@@ -549,10 +469,9 @@ def mountain_pass_path(j_fn, grad_fn, direction_fn, u0: np.ndarray,
     converged = False
     collapsed = False
     res = math.inf
-    k = 1 + int(np.argmax(energies[1:-1]))
     outer = 0
     for outer in range(max_outer):
-        k = _locate_crest(states, energies, j_fn)
+        k = 1 + int(np.argmax(energies[1:-1]))
         if energies[k] <= end_max + collapse_tol:
             collapsed = True
             break
@@ -561,16 +480,14 @@ def mountain_pass_path(j_fn, grad_fn, direction_fn, u0: np.ndarray,
         if res < tol:
             converged = True
             break
-        do_polish = polish_solve is not None and (
-            res < 100.0 * tol or (outer + 1) % polish_every == 0)
-        if do_polish:
+        if polish_solve is not None:
             polished, p_res = _polish_critical(grad_fn, polish_solve, states[k], tol)
-            if p_res < tol and j_fn(polished) > end_max + collapse_tol:
-                states[k] = polished
-                energies[k] = j_fn(polished)
-                res = p_res
-                converged = True
-                break
+            if p_res < tol:
+                j_pol = j_fn(polished)
+                if j_pol > end_max + collapse_tol:
+                    states[k], energies[k], res = polished, j_pol, p_res
+                    converged = True
+                    break
         d = direction_fn(states[k], g) if direction_fn is not None else -g
         slope = float(g @ d)
         if slope >= 0.0:
@@ -591,8 +508,6 @@ def mountain_pass_path(j_fn, grad_fn, direction_fn, u0: np.ndarray,
                 energies[k] = j_cand
                 break
             step /= 2.0
-        if (outer + 1) % retension_every == 0:
-            states, energies = _retension(states, energies, j_fn, k)
     if not (converged or collapsed):
         k = 1 + int(np.argmax(energies[1:-1]))
     return {
@@ -654,7 +569,14 @@ def mountain_pass(spec: ProblemSpec, trunc: TruncatedReaction,
                   n_path: int = 41, tol: float = 1e-4,
                   max_outer: int = 100000,
                   r_star: Optional[float] = None) -> MountainPassResult:
-    """Second critical point of the truncated energy via path deformation."""
+    """Second critical point of the truncated energy.
+
+    The path runs straight from the first solution to the uphill endpoint
+    u1.  When the operator has a second derivative and the reaction a
+    derivative, each crest of the path is polished by damped Newton with
+    the banded Jacobian of the weak residual; otherwise, or while the
+    polish fails, the crest is deformed downhill.
+    """
     grid = spec.grid
 
     def j_fn(u):

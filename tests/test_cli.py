@@ -168,7 +168,8 @@ def test_manifest_records_seed_and_tolerances(a5_config, tmp_path):
     "solver.lambda=abc", "hypotheses.mu=foo", "hypotheses.R=x",
     "solver.embed_trials=0", "grid.n_interior=0", "reaction.gamma=1.5",
     "solver.seed=-1", "hypotheses.t_max=0", "hypotheses.t_max=-5",
-    "grid.length=nan", "grid.length=inf"])
+    "grid.length=nan", "grid.length=inf", "solver.tol_first=0",
+    "solver.tol_first=nan", "solver.tol_mountain=0", "solver.max_iter=0"])
 def test_config_load_errors_exit_two(a5_config, tmp_path, capsys, override):
     code = main(["lambda-star", "--config", str(a5_config), "--override", override,
                  "--out", str(tmp_path / "o")])

@@ -294,6 +294,20 @@ def test_mountain_pass_two_distinct_solutions(a5_pipeline):
     assert mp.level >= a5_pipeline.first.J_value
 
 
+def test_mountain_pass_polishes_straight_path_crest(a5_pipeline):
+    # the crest of the straight path is already in Newton's basin
+    assert a5_pipeline.mp.outer_iterations == 1
+
+
+def test_mountain_pass_pathological_fine_grid():
+    # the straight path's crest polishes to the solution; deforming it first
+    # collapses the path to the endpoint level at this grid size
+    res = ph.two_solution_pipeline(
+        ph.builtin_example("pathological-reaction", n_interior=1023))
+    assert res.mp.converged and not res.mp.collapsed
+    assert abs(res.mp.level / 166821.0 - 1.0) < 1e-3
+
+
 def test_mountain_pass_solution_verifies(a5_pipeline):
     ver = a5_pipeline.verify_second
     assert ver.max_residual < 1e-4

@@ -326,7 +326,11 @@ def check_hf1(reaction: Reaction, nodes: np.ndarray) -> CheckEntry:
             break
     mins = np.array([float(reaction.value(np.array([10.0 ** (-k)]))[0])
                      for k in range(1, 7)])
-    increasing = bool(np.all(np.diff(mins) >= -1e-12 * np.abs(mins[:-1])))
+    # f must grow from its sampled minimum down to the bottom sample (s^r +
+    # s^-gamma falls first when gamma is small); a minimum at the bottom fails
+    low = int(np.argmin(mins))
+    increasing = low < mins.size - 1 and bool(
+        np.all(np.diff(mins[low:]) >= -1e-12 * np.abs(mins[low:-1])))
     passed = delta > 0.0 and increasing
     detail = (f"delta={delta:g} (sampled evidence), near-zero minima "
               + ("increasing" if increasing else "not increasing"))

@@ -646,34 +646,40 @@ def log_power_young(p: float, t_hi: float = 1e44) -> YoungFunction:
 # Sobolev conjugate
 
 
-def _theta_values(phi: YoungFunction, n_dim: int, s: np.ndarray) -> np.ndarray:
-    return inverse_value(phi, s) / s ** (1.0 + 1.0 / n_dim)
+def _critical_integrand(phi: YoungFunction, n_dim: int):
+    """phi^{-1}(s) s^{-1-1/N} ds under s = phi(tau): tau phi'(tau) phi(tau)^{-1-1/N} dtau."""
+    return lambda tau: tau * phi.prime(tau) * phi(tau) ** (-1.0 - 1.0 / n_dim)
 
 
 def theta_growth_integrals(phi: YoungFunction, n_dim: int,
                            k_range=range(2, 9), per_decade: int = 32,
                            gl_order: int = 10) -> list[float]:
-    """Integrals of phi^{-1}(s) s^{-1-1/N} over [1, 10^k] for each k.
-
-    Used to decide whether the critical-growth conjugate is defined:
-    the sequence must keep growing without visible saturation.
+    """Integrals of phi^{-1}(s) s^{-1-1/N} over [1, 10^k] for each k, taken
+    over tau = phi^{-1}(s) (per_decade panels per decade of s), so phi is
+    inverted only at the decade ends.  Used to decide whether the
+    critical-growth conjugate is defined: the sequence must keep growing
+    without visible saturation.
     """
     k_max = max(k_range)
-    edges = log_grid(1.0, 10.0 ** k_max, per_decade * k_max + 1)
-    cum = _panel_cumulative(lambda s: _theta_values(phi, n_dim, s), edges, gl_order)
-    return [float(cum[int(round(per_decade * k))]) for k in k_range]
+    ends = inverse_value(phi, np.logspace(0.0, k_max, k_max + 1))
+    edges = np.append(np.geomspace(ends[:-1], ends[1:], per_decade, endpoint=False, axis=1),
+                      ends[-1])
+    cum = _panel_cumulative(_critical_integrand(phi, n_dim), edges, gl_order)
+    return [float(cum[per_decade * k]) for k in k_range]
 
 
 def sobolev_conjugate(phi: YoungFunction, n_dim: int) -> YoungFunction:
     """Critical-growth conjugate defined through its inverse integral.
 
-    The inverse is int_0^t phi^{-1}(s) s^{-1-1/N} ds accumulated by
-    panel quadrature and inverted monotonically.  When the integrand is
-    not integrable at 0 (borderline upper growth of phi), the low end
-    is replaced below a patch point by the power behavior dictated by
-    the lower index of phi; this standard modification changes the
-    conjugate only by a bounded shift and leaves its growth at infinity
-    untouched.
+    The inverse int_0^t phi^{-1}(s) s^{-1-1/N} ds is accumulated over
+    log-uniform knots in tau = phi^{-1}(s), so phi is inverted only at
+    the ends of the range and the patch point; log-log Hermite tables
+    give s = phi_*(t) and tau(t), hence phi_*' = s^{1+1/N}/tau.  When the
+    integrand is not integrable at 0 (borderline upper growth of phi),
+    the low end is replaced below a patch point by the power behavior
+    dictated by the lower index of phi; this standard modification
+    changes the conjugate only by a bounded shift and leaves its growth
+    at infinity untouched.
     """
     if n_dim < 2:
         raise ConstructionError(f"dimension parameter must be >= 2, got {n_dim}")
@@ -681,58 +687,48 @@ def sobolev_conjugate(phi: YoungFunction, n_dim: int) -> YoungFunction:
     s_hi = min(1e50, float(phi(phi.t_hi)) / 4.0)
     if s_hi / s_lo < 1e20:
         raise ConstructionError(f"{phi.name}: domain too short for a conjugate table")
+    # s-knots: they place the patch point and the saturation guard
     grid = log_grid(s_lo, s_hi, int(48 * math.log10(s_hi / s_lo)) + 1)
-
-    theta = _theta_values(phi, n_dim, grid)
-    # local exponent at the low end decides integrability at 0
-    e_head = math.log(theta[4] / theta[0]) / math.log(grid[4] / grid[0])
-    patched = e_head <= -1.0 + 1e-6
-    patch_idx = 0
-    if patched:
+    expo = 1.0 + 1.0 / n_dim
+    tau_lo, tau_hi = inverse_value(phi, np.array([s_lo, s_hi]))
+    # d log theta / d log s of theta = tau s^{-1-1/N} decides integrability at 0
+    e_head = float(phi(tau_lo)) / (tau_lo * float(phi.prime(tau_lo))) - expo
+    tau0 = tau_lo
+    if e_head <= -1.0 + 1e-6:
         pair = phi.indices or compute_indices(phi)
         if pair.lower >= n_dim:
             raise SingularIntegrandError(
                 f"{phi.name}: inverse integral diverges at 0 and the lower index "
                 f"{pair.lower:.3f} >= N = {n_dim} leaves no admissible patch")
-        e_patch = 1.0 / pair.lower - 1.0 - 1.0 / n_dim
+        e_head = 1.0 / pair.lower - expo
         s_patch = min(max(float(phi(1.0)), grid[0] * 10.0), grid[-1] / 1e10)
-        patch_idx = int(np.searchsorted(grid, s_patch))
-        theta = theta.copy()
-        theta[:patch_idx] = theta[patch_idx] * (grid[:patch_idx] / grid[patch_idx]) ** e_patch
-        e_head = e_patch
-    g0 = grid[0]
+        tau0 = float(inverse_value(phi, grid[np.searchsorted(grid, s_patch)])[0])
 
-    def patched_theta(tau):
-        tau = np.asarray(tau, dtype=float)
-        out = _theta_values(phi, n_dim, np.maximum(tau, g0))
-        if patched:
-            low = tau < grid[patch_idx]
-            if low.any():
-                out = np.where(low, theta[patch_idx] * (tau / grid[patch_idx]) ** e_head, out)
-        low2 = tau < g0
-        if low2.any():
-            out = np.where(low2, theta[0] * (tau / g0) ** e_head, out)
-        return out
-
-    head = theta[0] * g0 / (e_head + 1.0)
-    cum = head + _panel_cumulative(patched_theta, grid, 10)
+    tau = log_grid(tau0, tau_hi, grid.size)
+    s = phi(tau)
+    theta = tau * s ** -expo
+    # below the first knot theta is the head power law, integrated in closed form
+    cum = theta[0] * s[0] / (e_head + 1.0) + _panel_cumulative(
+        _critical_integrand(phi, n_dim), tau, 10)
     if not np.all(np.isfinite(cum)) or not np.all(np.diff(cum) > 0):
         raise SingularIntegrandError(f"{phi.name}: conjugate inverse table not monotone")
     # saturation guard: the inverse must keep growing toward infinity
-    top = cum[-1] / cum[int(len(cum) * 0.9)]
+    top = cum[-1] / cum[np.searchsorted(s, grid[int(grid.size * 0.9)])]
     if top < 1.0 + 1e-3:
         raise ConstructionError(
             f"{phi.name}: inverse integral saturates, conjugate undefined")
 
-    # the inverse t -> s has log-log slope cum / (s theta(s)); at grid[0]
-    # it is the head power 1 / (e_head + 1)
-    value = _loglog_hermite(cum, grid, cum / (grid * theta))
-    t_lo_out = cum[0] * (1.0 + 1e-9)
+    # t -> s has log-log slope cum / (s theta), the head power 1/(e_head+1)
+    # at the first knot and below it; tau(t)'s is that over d log s/d log tau
+    slope = cum / (s * theta)
+    value = _loglog_hermite(cum, s, slope)
+    tau_of = _loglog_hermite(cum, tau, slope * s / (tau * phi.prime(tau)))
+    t_lo_out = cum[0] * (s_lo / s[0]) ** (e_head + 1.0) * (1.0 + 1e-9)
     t_hi_out = cum[-1] * (1.0 - 1e-9)
 
     def derivative(t):
-        tau = value(t)
-        return 1.0 / patched_theta(tau)
+        v = value(t)
+        return np.where(t < cum[0], (v / s[0]) ** -e_head / theta[0], v ** expo / tau_of(t))
 
     return YoungFunction(value, derivative, None, t_lo=t_lo_out, t_hi=t_hi_out,
                          name=f"sobolev_conj({phi.name},N={n_dim})")

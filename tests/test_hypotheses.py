@@ -101,6 +101,38 @@ def test_hf1_envelope_ratio_reaction_passes():
     assert entry.passed
 
 
+@pytest.mark.parametrize("r, gamma", [(2.2789, 0.0017), (1.8507, 0.00044)])
+def test_hf1_small_gamma_passes(r, gamma):
+    # s^r + s^-gamma falls until its minimum near (gamma/r)^(1/(r+gamma)),
+    # about 0.04 and 0.01 here, and grows toward 0 below it
+    entry = check_hf1(power_singular_reaction(r, 1.0, gamma), np.array([0.5]))
+    assert entry.passed
+    assert entry.detail.endswith("near-zero minima increasing")
+
+
+def test_hf1_sublinear_fails():
+    # log(1+s) has its sampled minimum at the bottom sample: no blow-up
+    entry = check_hf1(log1p_reaction(0.5), np.array([0.5]))
+    assert not entry.passed
+    assert entry.detail.endswith("not increasing")
+
+
+@pytest.mark.parametrize("upsilon", ["power", "pathological"])
+def test_ratio_slope_central_difference(upsilon):
+    # the Newton polish of the mountain pass differentiates the reaction
+    # through this slope
+    ups = {"power": ph.power_young(4.5),
+           "pathological": ph.build_pathological(ph.PathologicalParams.make(3.0, 2.5, 1.9))
+           }[upsilon]
+    reaction = upsilon_ratio_reaction(ups, 1.0, 0.5)
+    s = ph.log_grid(1e-4, 1e4, 801)
+    h = 1e-6
+    for fn, slope in ((reaction.regular, reaction.regular_derivative),
+                      (reaction.value, reaction.derivative)):
+        fd = (fn(s * (1.0 + h)) - fn(s * (1.0 - h))) / (2.0 * h * s)
+        assert np.max(np.abs(slope(s) - fd) / np.abs(fd)) < 1e-7
+
+
 # ---------------------------------------------------------------------------
 # H(f)2
 

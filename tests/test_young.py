@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import philap as ph
-from philap import Ordering
+from philap import Ordering, young
 from philap.errors import (
     ConstructionError,
     EvalDomainError,
@@ -276,6 +276,72 @@ def test_sobolev_conjugate_strictly_increasing(generator, pathological):
     star = ph.sobolev_conjugate(psi, 4)
     vals = star(ph.log_grid(star.t_lo, star.t_hi, 200001))
     assert np.all(np.diff(vals) > 0)
+
+
+@pytest.mark.parametrize("N", [4, 5])
+def test_sobolev_conjugate_prime_power_closed_form(N):
+    # (t/p*)^(p*) has derivative (t/p*)^(p*-1); across the whole table,
+    # including below its first knot
+    p = 3.0
+    star = ph.sobolev_conjugate(ph.power_young(p), N)
+    p_star = N * p / (N - p)
+    ts = ph.log_grid(star.t_lo, star.t_hi, 2001)
+    exact = (ts / p_star) ** (p_star - 1.0)
+    assert np.max(np.abs(star.prime(ts) - exact) / exact) < 1e-11
+
+
+@pytest.mark.parametrize("N", [4, 5])
+@pytest.mark.parametrize("generator", ["log-power", "pathological"])
+def test_sobolev_conjugate_prime_central_difference(generator, N, pathological):
+    # log-power p = 3 is patched at N = 4; the pathological generator's
+    # switch at t = e puts a kink in a higher derivative of the table
+    psi = {"log-power": ph.log_power_young(3.0), "pathological": pathological}[generator]
+    star = ph.sobolev_conjugate(psi, N)
+    ts = ph.log_grid(star.t_lo * 2.0, star.t_hi / 2.0, 4001)
+    h = 1e-5
+    fd = (star(ts * (1.0 + h)) - star(ts * (1.0 - h))) / (2.0 * h * ts)
+    assert np.max(np.abs(star.prime(ts) - fd) / fd) < 1e-6
+
+
+@pytest.mark.parametrize("N", [4, 5])
+def test_sobolev_conjugate_patched_head_power_law(N):
+    # log-power with p = N - 1 grows like t^N at 0, so the integral
+    # diverges there and the table is patched below s = phi(1) by the
+    # head power t^{1/(e_patch+1)}, e_patch = 1/i_phi - 1 - 1/N
+    psi = ph.log_power_young(N - 1.0)
+    star = ph.sobolev_conjugate(psi, N)
+    expo = 1.0 / (1.0 / psi.indices.lower - 1.0 / N)
+    ts = ph.log_grid(star.t_lo, star.t_hi, 20001)
+    vals = star(ts)
+    head = vals < psi(1.0) / 10.0
+    assert head.sum() > 1000
+    th, vh = ts[head], vals[head]
+    slopes = np.diff(np.log(vh)) / np.diff(np.log(th))
+    assert np.max(np.abs(slopes - expo)) < 1e-9
+    assert np.max(np.abs(star.prime(th) * th / vh - expo)) < 1e-10
+
+
+@pytest.mark.parametrize("N", [4, 5])
+@pytest.mark.parametrize("generator", ["power", "log-power", "pathological"])
+def test_critical_tables_are_root_free(generator, N, pathological, monkeypatch):
+    # after the substitution s = phi(tau), phi is inverted only at the
+    # ends of the range (and the patch point) and at the decade ends
+    psi = {"power": ph.power_young(3.0), "log-power": ph.log_power_young(N - 1.0),
+           "pathological": pathological}[generator]
+    ph.compute_indices(psi)
+    targets = []
+    solve = young._solve_increasing
+
+    def counting(fn, target, lo, hi, *args, **kwargs):
+        targets.append(np.size(target))
+        return solve(fn, target, lo, hi, *args, **kwargs)
+
+    monkeypatch.setattr(young, "_solve_increasing", counting)
+    ph.sobolev_conjugate(psi, N)
+    assert 2 <= sum(targets) <= 3
+    targets.clear()
+    young.theta_growth_integrals(psi, N)
+    assert sum(targets) <= 9
 
 
 # ---------------------------------------------------------------------------

@@ -15,9 +15,17 @@ import numpy as np
 
 from . import __version__
 from .errors import ConfigError, PhilapError
-from .orlicz import gridfunction_to_csv, write_table
-from .problems import builtin_example, load_problem, run_all_checks
+from .orlicz import LUXEMBURG_ITERS, gridfunction_to_csv, write_table
+from .problems import (
+    HF2_SLACK,
+    HF3_SLACK,
+    SolverSettings,
+    builtin_example,
+    load_problem,
+    run_all_checks,
+)
 from .solver import (
+    TORSION_TOL,
     solution_stage,
     threshold_stage,
     write_convergence_csv,
@@ -26,6 +34,10 @@ from .solver import (
 )
 from .threshold import write_kappa_csv, write_threshold_csv
 from .young import (
+    INDEX_GRID_HI,
+    INDEX_GRID_LO,
+    INDEX_GRID_POINTS,
+    ROOT_RTOL_ITERS,
     PathologicalParams,
     build_pathological,
     compute_indices,
@@ -36,23 +48,38 @@ from .young import (
     young_conjugate,
 )
 
+
+def _sci(x: float) -> str:
+    """Shortest scientific form that reads back as x: 1e-6, not 1e-06."""
+    text = next(s for s in (f"{x:.{d}e}" for d in range(17)) if float(s) == x)
+    mantissa, exponent = text.split("e")
+    return f"{mantissa}e{int(exponent)}"
+
+
+# the registry of the constants the numerics use; the two solver
+# tolerances are the run's own, these are their defaults
 TOLERANCES = {
     "tolerance_version": "1",
-    "root_find_iters": "90",
-    "luxemburg_iters": "70",
-    "index_grid": "2000pts@[1e-4,1e6]",
-    "torsion_tol": "1e-8",
-    "first_solution_tol": "1e-6",
-    "mountain_pass_tol": "1e-4",
-    "hf2_slack": "1e-8",
-    "hf3_slack": "1e-6",
+    "root_find_iters": str(ROOT_RTOL_ITERS),
+    "luxemburg_iters": str(LUXEMBURG_ITERS),
+    "index_grid": f"{INDEX_GRID_POINTS}pts@[{_sci(INDEX_GRID_LO)},{_sci(INDEX_GRID_HI)}]",
+    "torsion_tol": _sci(TORSION_TOL),
+    "first_solution_tol": _sci(SolverSettings.tol_first),
+    "mountain_pass_tol": _sci(SolverSettings.tol_mountain),
+    "hf2_slack": _sci(HF2_SLACK),
+    "hf3_slack": _sci(HF3_SLACK),
 }
+# commands without a config record seed 0 and the default tolerances
+_NO_CONFIG = SolverSettings(lam=None, seed=0)
 
 
-def _write_manifest(out: Path, config_text: str, seed: int, extra=None) -> None:
+def _write_manifest(out: Path, config_text: str, settings: SolverSettings,
+                    extra=None) -> None:
     digest = hashlib.sha256(config_text.encode()).hexdigest()
-    lines = [f"version={__version__}", f"config_sha256={digest}", f"seed={seed}"]
-    lines += [f"{k}={v}" for k, v in TOLERANCES.items()]
+    lines = [f"version={__version__}", f"config_sha256={digest}", f"seed={settings.seed}"]
+    tolerances = dict(TOLERANCES, first_solution_tol=_sci(settings.tol_first),
+                      mountain_pass_tol=_sci(settings.tol_mountain))
+    lines += [f"{k}={v}" for k, v in tolerances.items()]
     lines += [f"{k}={v}" for k, v in (extra or {}).items()]
     (out / "manifest.txt").write_text("\n".join(lines) + "\n")
 
@@ -84,7 +111,7 @@ def _cmd_indices(args) -> int:
                 [[psi.name, pair.lower, pair.upper,
                   pair.at_infinity_lower, pair.at_infinity_upper]])
     _write_manifest(out, f"indices:{psi.name}:{args.grid_lo}:{args.grid_hi}:{args.grid_n}",
-                    seed=0)
+                    _NO_CONFIG)
     print(f"indices of {psi.name}: lower={pair.lower:.6g} upper={pair.upper:.6g}")
     return 0
 
@@ -99,7 +126,7 @@ def _cmd_conjugate(args) -> int:
     out = _outdir(args)
     write_table(out / "conjugate.csv", ["t", "value", "conjugate", "involution_rel_err"],
                 zip(ts, vals, conj(ts), err))
-    _write_manifest(out, f"conjugate:{psi.name}", seed=0)
+    _write_manifest(out, f"conjugate:{psi.name}", _NO_CONFIG)
     print(f"conjugate of {psi.name} written; worst involution error on [1e-3,1e3] "
           f"= {err.max():.3e}")
     return 0
@@ -114,7 +141,7 @@ def _cmd_sobolev_conjugate(args) -> int:
     ts = log_grid(lo, hi, 200)
     out = _outdir(args)
     write_table(out / "sobolev_conjugate.csv", ["t", "phi_star"], zip(ts, star(ts)))
-    _write_manifest(out, f"sobolev:{psi.name}:N={args.N}", seed=0)
+    _write_manifest(out, f"sobolev:{psi.name}:N={args.N}", _NO_CONFIG)
     print(f"critical conjugate of {psi.name} (N={args.N}): "
           f"indices [{pair.lower:.4g}, {pair.upper:.4g}]")
     return 0
@@ -135,7 +162,7 @@ def _audit(args):
 def _report_audit(report, out, text, settings) -> int:
     """Finish a run that ends with the audit: manifest, report lines, and
     the exit code of the verdict."""
-    _write_manifest(out, text, settings.seed)
+    _write_manifest(out, text, settings)
     for line in report.lines():
         print(line)
     return 0 if report.all_passed else 1
@@ -162,7 +189,7 @@ def _cmd_lambda_star(args) -> int:
     write_threshold_csv(thr, [lam], out / "threshold.csv")
     r_grid = np.geomspace(adm.r_star / 100.0, adm.r_star * 100.0, 200)
     write_kappa_csv(thr, r_grid, out / "kappa_curve.csv", lam=lam)
-    _write_manifest(out, text, settings.seed,
+    _write_manifest(out, text, settings,
                     extra={"case": thr.case.value,
                            "lambda_star": f"{thr.lambda_star:.12g}"})
     print(f"case={thr.case.value} lambda_star={thr.lambda_star:.6g} "
@@ -188,7 +215,7 @@ def _run_pipeline(args, need_mountain: bool):
     write_threshold_csv(result.threshold, [result.lam], out / "threshold.csv")
     write_degiorgi_csv(out / "degiorgi.csv", result.degiorgi)
     gridfunction_to_csv(result.sub.u_under, out / "subsolution.csv")
-    _write_manifest(out, text, settings.seed, extra={
+    _write_manifest(out, text, settings, extra={
         "lambda": f"{result.lam:.12g}",
         "lambda_star": f"{result.threshold.lambda_star:.12g}",
         "first_residual": f"{result.verify_first.max_residual:.12g}",
@@ -232,7 +259,8 @@ def _cmd_verify_example(args) -> int:
     report = run_all_checks(spec)
     out = _outdir(args)
     report.to_csv(out / "hypotheses.csv")
-    _write_manifest(out, f"verify-example:{spec.name}", spec.seed)
+    _write_manifest(out, f"verify-example:{spec.name}",
+                    SolverSettings(lam=None, seed=spec.seed))
     for line in report.lines():
         print(line)
     return 0 if report.all_passed else 1

@@ -76,7 +76,9 @@ def log_grid(lo: float, hi: float, n: int) -> np.ndarray:
 def _solve_increasing(fn, target, lo, hi, iters: int = ROOT_RTOL_ITERS) -> np.ndarray:
     """Geometric bisection for fn(s) = target with fn increasing on [lo, hi].
 
-    Vectorized over `target`; fn must accept arrays.
+    Vectorized over `target`; fn must accept arrays and act elementwise.
+    Stops early once no bracket moves in a round: the next round would
+    repeat it, so the result is that of all `iters` rounds.
     """
     t = np.atleast_1d(np.asarray(target, dtype=float))
     a = np.full(t.shape, float(lo))
@@ -85,30 +87,11 @@ def _solve_increasing(fn, target, lo, hi, iters: int = ROOT_RTOL_ITERS) -> np.nd
         mid = a * b
         np.sqrt(mid, out=mid)
         high = fn(mid) >= t
+        if np.all(np.where(high, b, a) == mid):
+            break
         np.copyto(b, mid, where=high)
         np.copyto(a, mid, where=~high)
     return np.sqrt(a * b)
-
-
-def _golden_max(g, lo: float, hi: float, shape, iters: int = 140):
-    """Golden-section maximum of g over [lo, hi], worked in log coordinates.
-
-    Returns (argmax, at_lower_edge, at_upper_edge) arrays of `shape`.
-    """
-    invphi = (math.sqrt(5.0) - 1.0) / 2.0
-    a = np.full(shape, math.log(lo))
-    b = np.full(shape, math.log(hi))
-    for _ in range(iters):
-        c = b - invphi * (b - a)
-        d = a + invphi * (b - a)
-        take = g(np.exp(c)) > g(np.exp(d))
-        b = np.where(take, d, b)
-        a = np.where(take, a, c)
-    s = np.exp((a + b) / 2.0)
-    span = math.log(hi) - math.log(lo)
-    at_lo = (a - math.log(lo)) < 1e-6 * span
-    at_hi = (math.log(hi) - b) < 1e-6 * span
-    return s, at_lo, at_hi
 
 
 @dataclass(frozen=True)
@@ -287,9 +270,10 @@ def delta2_nabla2(psi: YoungFunction) -> tuple[bool, bool]:
 def young_conjugate(psi: YoungFunction) -> YoungFunction:
     """Legendre transform max_{s>=0} (s t - psi(s)).
 
-    The maximizer solves psi'(s) = t by monotone root-find; a
-    golden-section probe backs it up when the bracket check fails.  The
-    derivative of the conjugate is the maximizer itself.
+    The maximizer solves psi'(s) = t by monotone root-find; a root whose
+    derivative misses t (psi' not monotone or not continuous there)
+    raises OutOfRangeError.  The derivative of the conjugate is the
+    maximizer itself.
     """
     lo, hi = psi.t_lo, psi.t_hi
     d_lo = float(psi.prime(lo))
@@ -307,19 +291,9 @@ def young_conjugate(psi: YoungFunction) -> YoungFunction:
         s = _solve_increasing(psi.prime, t, lo, hi)
         consistent = np.abs(psi.prime(s) - t) <= 1e-6 * np.maximum(t, 1e-300)
         if not consistent.all():
-            # derivative data not reliably monotone here; fall back to a
-            # direct search of s t - psi(s)
-            miss = ~consistent
-            tm = t[miss]
-            def g(sv):
-                return sv * tm - psi(sv)
-            s_fb, edge_lo, edge_hi = _golden_max(g, lo, hi, tm.shape)
-            if edge_lo.any() or edge_hi.any():
-                raise OutOfRangeError(
-                    f"conj({psi.name}): maximizer pinned to domain edge for "
-                    f"t={tm[edge_lo | edge_hi][:3]!r}")
-            s = s.copy()
-            s[miss] = s_fb
+            raise OutOfRangeError(
+                f"conj({psi.name}): root-find of the derivative inconsistent "
+                f"(not continuous and increasing) at t={t[~consistent][:3]!r}")
         return s
 
     def value(t):

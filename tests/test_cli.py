@@ -164,6 +164,34 @@ def test_manifest_records_seed_and_tolerances(a5_config, tmp_path):
     assert "first_solution_tol=1e-6" in manifest
 
 
+def test_manifest_records_the_run_tolerances(a5_config, tmp_path):
+    out = tmp_path / "o"
+    main(["check", "--config", str(a5_config), "--out", str(out),
+          "--override", "solver.tol_first=1e-7", "--override", "solver.tol_mountain=2.5e-5"])
+    manifest = (out / "manifest.txt").read_text().splitlines()
+    assert "first_solution_tol=1e-7" in manifest
+    assert "mountain_pass_tol=2.5e-5" in manifest
+
+
+def test_tolerance_registry_follows_the_constants():
+    from philap import cli, orlicz, problems, solver, young
+    assert cli.TOLERANCES == {
+        "tolerance_version": "1",
+        "root_find_iters": str(young.ROOT_RTOL_ITERS),
+        "luxemburg_iters": str(orlicz.LUXEMBURG_ITERS),
+        "index_grid": "2000pts@[1e-4,1e6]",
+        "torsion_tol": "1e-8",
+        "first_solution_tol": "1e-6",
+        "mountain_pass_tol": "1e-4",
+        "hf2_slack": "1e-8",
+        "hf3_slack": "1e-6",
+    }
+    assert (young.INDEX_GRID_POINTS, young.INDEX_GRID_LO, young.INDEX_GRID_HI) == (2000, 1e-4, 1e6)
+    assert (solver.TORSION_TOL, problems.HF2_SLACK, problems.HF3_SLACK) == (1e-8, 1e-8, 1e-6)
+    assert [cli._sci(x) for x in (1e-6, 1e6, 1.5e-7, 1.0 / 3.0)] == [
+        "1e-6", "1e6", "1.5e-7", "3.333333333333333e-1"]
+
+
 @pytest.mark.parametrize("override", [
     "solver.lambda=abc", "hypotheses.mu=foo", "hypotheses.R=x",
     "solver.embed_trials=0", "grid.n_interior=0", "reaction.gamma=1.5",

@@ -1,11 +1,11 @@
-"""Discrete grid space: modulars, Luxembourg norms, gradients, embedding."""
+"""Discrete grid space: modulars, Luxemburg norms, gradients, embedding."""
 
 import numpy as np
 import pytest
 
 import philap as ph
-from philap.errors import ConstructionError
-from philap.orlicz import luxemburg_of, modular_of
+from philap.errors import ConstructionError, EvalDomainError
+from philap.orlicz import LUXEMBURG_BLOCK, LUXEMBURG_ITERS, luxemburg_of, modular_of
 
 
 @pytest.fixture
@@ -63,7 +63,7 @@ def test_modular_norm_sandwich(pathological, grid):
 
 
 # ---------------------------------------------------------------------------
-# Luxembourg norm
+# Luxemburg norm
 
 
 def test_luxemburg_zero_and_power_identity(grid):
@@ -165,6 +165,52 @@ def test_refinement_stability():
         assert abs(l2 - l1) <= 2.0 * h1
 
 
+def _bracket_rows(grid):
+    """Rows for the lockstep tests: a zero row, a row whose norm lies above
+    its sup (upward expansion), a spike whose norm lies below it (downward
+    expansion), a row that takes the zero-norm exit, and random rows."""
+    n = grid.n_interior
+    rng = np.random.default_rng(21)
+    spike = np.zeros(n)
+    spike[n // 3] = -4.0
+    rows = [np.zeros(n), np.full(n, 1.5 / grid.h), spike, spike * 1e-305]
+    rows += list(rng.uniform(-3.0, 3.0, (5, n)))
+    return np.array(rows)
+
+
+@pytest.mark.parametrize("generator", ["power", "pathological"])
+def test_luxemburg_rows_match_single_calls(grid, pathological, generator):
+    psi = {"power": ph.power_young(3.0), "pathological": pathological}[generator]
+    rows = _bracket_rows(grid)
+    weight = 40.0 * grid.h  # the flat row's modular exceeds 1 at its sup
+    assert modular_of(psi, rows[1] / np.abs(rows[1]).max(), weight) > 1.0
+    assert modular_of(psi, rows[2] / np.abs(rows[2]).max(), weight) <= 1.0
+    norms = luxemburg_of(psi, rows, weight)
+    single = [luxemburg_of(psi, row, weight) for row in rows]
+    assert isinstance(single[0], float)
+    assert norms.shape == (len(rows),)
+    assert norms.tobytes() == np.array(single).tobytes()  # bit for bit
+    assert norms[0] == 0.0 and norms[3] == 0.0
+    assert norms[1] > np.abs(rows[1]).max() and norms[2] < np.abs(rows[2]).max()
+
+
+def test_luxemburg_rows_span_blocks(pathological):
+    # more rows than one lockstep block holds: blocks give the same bits
+    n = 999
+    rows = np.random.default_rng(22).normal(size=(3 * (LUXEMBURG_BLOCK // n) + 5, n))
+    norms = luxemburg_of(pathological, rows, 1.0 / n)
+    assert norms.tobytes() == np.array(
+        [luxemburg_of(pathological, row, 1.0 / n) for row in rows]).tobytes()
+
+
+def test_luxemburg_upward_budget_names_psi():
+    # the modular of a weight this large exceeds 1 at every scaling the
+    # 200 doublings reach
+    psi = ph.power_young(2.0)
+    with pytest.raises(EvalDomainError, match="Luxemburg bracket expansion"):
+        luxemburg_of(psi, np.ones((2, 4)), 1e300)
+
+
 # ---------------------------------------------------------------------------
 # embedding constant
 
@@ -205,6 +251,69 @@ def test_embedding_zero_trials_skipped(grid):
 
     est = ph.estimate_embedding_constant(phi, phi, grid, n_trials=2, rng=ZeroRng())
     assert est > 0.0  # the deterministic fundamental-mode trial remains
+
+
+def _embedding_reference(phi, target, grid, n_trials, rng, n_modes=6):
+    """The estimate as a loop of one-trial norms."""
+    modes = np.array([np.sin(k * np.pi * grid.nodes / grid.length)
+                      for k in range(1, n_modes + 1)])
+    best = 0.0
+    for trial in range(n_trials):
+        if trial == 0:
+            coeffs = np.zeros(n_modes)
+            coeffs[0] = 1.0
+        else:
+            coeffs = rng.normal(size=n_modes) / np.arange(1, n_modes + 1) ** 2
+        u = ph.GridFunction(grid, coeffs @ modes)
+        if not np.any(u.values):
+            continue
+        denom = luxemburg_of(phi, ph.cell_gradient(u), grid.h)
+        if denom == 0.0:
+            continue
+        best = max(best, ph.luxemburg_norm(target, u) / denom)
+    return 2.0 * best
+
+
+@pytest.mark.parametrize("n", [127, 600])
+def test_embedding_constant_matches_trial_loop(pathological, n):
+    # 600 nodes need two lockstep blocks for 32 trials
+    grid = ph.Grid(n, 1.0)
+    target = ph.power_young(4.0)
+    rng_batch, rng_loop = np.random.default_rng(5), np.random.default_rng(5)
+    est = ph.estimate_embedding_constant(pathological, target, grid, rng=rng_batch)
+    ref = _embedding_reference(pathological, target, grid, 32, rng_loop)
+    assert est == ref
+    assert rng_batch.bit_generator.state == rng_loop.bit_generator.state
+
+
+def _counting(fn, calls):
+    def wrapped(t):
+        calls.append(np.size(t))
+        return fn(t)
+    return wrapped
+
+
+@pytest.mark.parametrize("n", [127, 2047])
+def test_embedding_constant_evaluation_count(pathological, n, monkeypatch):
+    # one psi call per lockstep round of each block, not one per trial and round
+    grid = ph.Grid(n, 1.0)
+    target = ph.power_young(4.0)
+    calls = []
+    for psi in (pathological, target):
+        monkeypatch.setattr(psi, "_value", _counting(psi._value, calls))
+    ph.estimate_embedding_constant(pathological, target, grid, rng=np.random.default_rng(5))
+    blocks = 2 * -(-32 // (LUXEMBURG_BLOCK // (n + 1)))
+    assert len(calls) <= blocks * (LUXEMBURG_ITERS + 10)
+
+
+def test_embedding_budget_error_names_stage(grid):
+    # a generator this steep keeps the gradient modular above 1 beyond the
+    # 200 doublings of the upward bracket expansion
+    steep = ph.YoungFunction(lambda t: 1e300 * t, lambda t: np.full_like(t, 1e300),
+                             name="steep")
+    with pytest.raises(EvalDomainError,
+                       match="embedding-constant estimate: steep: Luxemburg bracket"):
+        ph.estimate_embedding_constant(steep, ph.power_young(2.0), grid, n_trials=2)
 
 
 # ---------------------------------------------------------------------------

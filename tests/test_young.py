@@ -154,6 +154,18 @@ def test_conjugate_out_of_range_reports_offender():
         conj(1e-32)  # maximizer would sit below psi's trusted range
 
 
+def test_conjugate_inconsistent_root_names_t():
+    # psi' = s + 1/2 on [1, 2) only: it jumps up at 1 and back down at 2, so
+    # psi' = t has no root for t in (1, 3/2) and the bisection lands on the jump
+    psi = ph.YoungFunction(lambda s: s * s / 2.0 + np.clip(s - 1.0, 0.0, 1.0) / 2.0,
+                           lambda s: s + np.where((s >= 1.0) & (s < 2.0), 0.5, 0.0),
+                           name="kinked")
+    conj = ph.young_conjugate(psi)
+    assert float(conj.prime(0.5)) == pytest.approx(0.5, rel=1e-12)
+    with pytest.raises(OutOfRangeError, match=r"inconsistent.*1\.2"):
+        conj.prime(np.array([0.5, 1.2]))
+
+
 def test_conjugate_inverse_identity():
     # parametric inverse of the conjugate against the closed form for powers
     m = 4.5
@@ -342,6 +354,38 @@ def test_critical_tables_are_root_free(generator, N, pathological, monkeypatch):
     targets.clear()
     young.theta_growth_integrals(psi, N)
     assert sum(targets) <= 9
+
+
+def _bisect_all_rounds(fn, target, lo, hi):
+    """_solve_increasing without the early stop."""
+    t = np.atleast_1d(np.asarray(target, dtype=float))
+    a, b = np.full(t.shape, float(lo)), np.full(t.shape, float(hi))
+    for _ in range(young.ROOT_RTOL_ITERS):
+        mid = np.sqrt(a * b)
+        high = fn(mid) >= t
+        b = np.where(high, mid, b)
+        a = np.where(high, a, mid)
+    return np.sqrt(a * b)
+
+
+@pytest.mark.parametrize("generator", ["power", "log-power", "pathological"])
+def test_solve_increasing_stops_at_fixed_point(generator, pathological):
+    psi = {"power": ph.power_young(3.0), "log-power": ph.log_power_young(3.0),
+           "pathological": pathological}[generator]
+    rounds = []
+
+    def counted(fn):
+        def wrapped(s):
+            rounds.append(1)
+            return fn(s)
+        return wrapped
+
+    targets = np.concatenate([np.logspace(-20, 20, 41), [float(psi(1.0)), 7.3]])
+    for fn in (psi, psi.prime):
+        rounds.clear()
+        got = young._solve_increasing(counted(fn), targets, psi.t_lo, psi.t_hi)
+        assert got.tobytes() == _bisect_all_rounds(fn, targets, psi.t_lo, psi.t_hi).tobytes()
+        assert len(rounds) < young.ROOT_RTOL_ITERS
 
 
 # ---------------------------------------------------------------------------

@@ -229,6 +229,9 @@ def _run_pipeline(args, need_mountain: bool):
         print(f"mountain pass: level={mp.level:.6g} residual={mp.residual:.3e} "
               f"converged={mp.converged} collapsed={mp.collapsed}")
         if not mp.converged:
+            print(f"error: mountain pass did not reach solver.tol_mountain="
+                  f"{_sci(settings.tol_mountain)}; smallest residual of a polish "
+                  f"above the endpoints {mp.polish_residual:.3e}", file=sys.stderr)
             code = 1
     return result, code
 

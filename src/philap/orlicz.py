@@ -162,14 +162,14 @@ def _luxemburg_rows(psi: YoungFunction, vals: np.ndarray, weight: float) -> np.n
     rows = np.flatnonzero(live)
     block, a, b = vals[rows], lo[rows], hi[rows]
     for _ in range(LUXEMBURG_ITERS):
-        mid = np.sqrt(a * b)
+        mid = np.sqrt(a) * np.sqrt(b)  # a * b under- or overflows
         high = over(block, mid)
         if np.all(np.where(high, a, b) == mid):
             break  # no bracket moves: later rounds would repeat this one
         np.copyto(a, mid, where=high)
         np.copyto(b, mid, where=~high)
     norms = np.zeros(vals.shape[0])
-    norms[rows] = np.sqrt(a * b)
+    norms[rows] = np.sqrt(a) * np.sqrt(b)
     return norms
 
 

@@ -595,7 +595,10 @@ def load_problem(path=None, text: Optional[str] = None,
 def _problem_from_config(parser: configparser.ConfigParser):
     op = parser["operator"]
     kind = op.get("kind", "")
-    n_dim = int(_getfloat(op, "N", 4))
+    n_dim = _getfloat(op, "N", 4)
+    if not math.isfinite(n_dim):
+        raise ConfigError(f"operator.N must be finite, got {n_dim}")
+    n_dim = int(n_dim)
     p = _getfloat(op, "p")
     if kind == "power":
         if p <= 1.0:

@@ -1,21 +1,22 @@
 """Discrete variational pipeline for the singular quasilinear problem.
 
 Torsion sub-solution, reaction truncation at the sub-solution level,
-energy descent for the constrained first solution, a Newton polish from
-the crest of a discrete path (path deformation as the fallback) for the
-mountain-pass solution, weak-residual verification, and a level-set
-iteration certifying a sup bound on computed solutions.
+energy descent for the constrained first solution, the mountain-pass
+solution (on fine grids a Newton polish of the saddle found on a coarse
+grid; otherwise a Newton polish from the crest of a discrete path, with
+path deformation as the fallback), weak-residual verification, and a
+level-set iteration certifying a sup bound on computed solutions.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Optional
 
 import numpy as np
 
-from .errors import ConstructionError, SolverError
+from .errors import ConstructionError, PhilapError, SolverError
 from .orlicz import Grid, GridFunction, luxemburg_of, write_table
 from .problems import HypothesisReport, ProblemSpec, Reaction, run_all_checks
 from .threshold import (
@@ -58,6 +59,8 @@ __all__ = [
 
 ARMIJO_SLOPE = 1e-4
 TORSION_TOL = 1e-8
+# grids finer than this start the mountain pass from the saddle found on it
+COARSE_N = 127
 
 
 # ---------------------------------------------------------------------------
@@ -468,7 +471,7 @@ def mountain_pass_path(j_fn, grad_fn, direction_fn, u0: np.ndarray,
     end_max = max(energies[0], energies[-1])
     converged = False
     collapsed = False
-    res = math.inf
+    res = floor = math.inf
     outer = 0
     for outer in range(max_outer):
         k = 1 + int(np.argmax(energies[1:-1]))
@@ -482,9 +485,10 @@ def mountain_pass_path(j_fn, grad_fn, direction_fn, u0: np.ndarray,
             break
         if polish_solve is not None:
             polished, p_res = _polish_critical(grad_fn, polish_solve, states[k], tol)
-            if p_res < tol:
-                j_pol = j_fn(polished)
-                if j_pol > end_max + collapse_tol:
+            j_pol = j_fn(polished)
+            if j_pol > end_max + collapse_tol:
+                floor = min(floor, p_res)
+                if p_res < tol:
                     states[k], energies[k], res = polished, j_pol, p_res
                     converged = True
                     break
@@ -517,6 +521,7 @@ def mountain_pass_path(j_fn, grad_fn, direction_fn, u0: np.ndarray,
         "collapsed": collapsed,
         "budget_exhausted": not (converged or collapsed),
         "residual": res,
+        "polish_residual": floor,
         "outer_iterations": outer + 1,
         "path_energies": energies.copy(),
     }
@@ -562,6 +567,40 @@ class MountainPassResult:
     residual: float
     outer_iterations: int
     path_energies: np.ndarray
+    polish_residual: float  # smallest of the polishes that stayed above the endpoints
+    coarse_start: bool
+
+
+def _coarse_start(spec: ProblemSpec, trunc: TruncatedReaction, lam: float,
+                  r_star: float, n_path: int, tol: float, max_outer: int,
+                  j_fn, grad_fn, polish_solve, end_max: float):
+    """The whole chain on the COARSE_N grid at the same lam and r_star, its
+    saddle interpolated onto spec's nodes and polished once there; a
+    mountain_pass_path result, or None when the coarse chain fails."""
+    cspec = replace(spec, grid=Grid(COARSE_N, spec.grid.length))
+    try:
+        csub = build_subsolution(cspec, trunc.sub.delta, lam=lam)
+        # the truncation constants only feed the threshold: keep this run's
+        ctrunc = TruncatedReaction(reaction=trunc.reaction, sub=csub,
+                                   constants=trunc.constants)
+        cfirst, flags, _ = first_solution(cspec, ctrunc, r_star, lam, max_iter=max_outer)
+        cup = uphill_endpoint(cspec, ctrunc, cfirst, lam)
+        # no r_star: the separation check belongs to the fine run
+        cmp = mountain_pass(cspec, ctrunc, cfirst, cup, lam, n_path=n_path, tol=tol,
+                            max_outer=max_outer)
+    except PhilapError:
+        return None
+    if not (flags["converged"] and cmp.converged):
+        return None
+    xs = np.concatenate([[0.0], cspec.grid.nodes, [spec.grid.length]])
+    v0 = np.interp(spec.grid.nodes, xs, np.concatenate([[0.0], cmp.state.u.values, [0.0]]))
+    v, res = _polish_critical(grad_fn, polish_solve, v0, tol)
+    level = j_fn(v)
+    above = level > end_max + tol
+    return {"v": v, "level": level, "converged": above and res < tol, "collapsed": False,
+            "budget_exhausted": False, "residual": res,
+            "polish_residual": res if above else math.inf,
+            "outer_iterations": cmp.outer_iterations, "path_energies": cmp.path_energies}
 
 
 def mountain_pass(spec: ProblemSpec, trunc: TruncatedReaction,
@@ -571,11 +610,19 @@ def mountain_pass(spec: ProblemSpec, trunc: TruncatedReaction,
                   r_star: Optional[float] = None) -> MountainPassResult:
     """Second critical point of the truncated energy.
 
-    The path runs straight from the first solution to the uphill endpoint
-    u1.  When the operator has a second derivative and the reaction a
-    derivative, each crest of the path is polished by damped Newton with
-    the banded Jacobian of the weak residual; otherwise, or while the
-    polish fails, the crest is deformed downhill.
+    When the operator has a second derivative and the reaction a
+    derivative, candidate saddles are polished by damped Newton with the
+    banded Jacobian of the weak residual.  On a grid finer than COARSE_N
+    nodes, and with r_star given, the first candidate is the saddle of the
+    same problem on the COARSE_N grid (same lam and r_star), interpolated
+    linearly: by the mesh independence of Newton's method it polishes in a
+    few steps, where polishes from the straight path's crest fail on fine
+    grids.  It is accepted by the path search's rule (residual below tol,
+    energy above both endpoints); coarse_start is then set, and
+    outer_iterations and path_energies are the coarse search's.
+    Otherwise the path runs straight from the first solution to the uphill
+    endpoint u1, and each crest is polished, or deformed downhill while
+    the polish fails or there is no Hessian.
     """
     grid = spec.grid
 
@@ -601,18 +648,21 @@ def mountain_pass(spec: ProblemSpec, trunc: TruncatedReaction,
     if spec.phi.has_second and trunc.reaction.derivative is not None:
         polish = _newton_hessian_solve(spec, trunc, lam)
 
-    out = mountain_pass_path(j_fn, grad_fn, direction_fn,
-                             u0_state.u.values, u1.values, n_path=n_path,
-                             tol=tol, max_outer=max_outer, polish_solve=polish)
-    state = energy_and_gradient(spec, trunc, GridFunction(grid, out["v"]), lam)
-    return MountainPassResult(state=state, level=out["level"],
-                              converged=out["converged"],
-                              collapsed=out["collapsed"],
-                              budget_exhausted=out["budget_exhausted"],
-                              separation_ok=separation_ok,
-                              residual=out["residual"],
-                              outer_iterations=out["outer_iterations"],
-                              path_energies=out["path_energies"])
+    out = None
+    if polish is not None and r_star is not None and grid.n_interior > COARSE_N:
+        end_max = max(j_fn(u0_state.u.values), j_fn(u1.values))
+        out = _coarse_start(spec, trunc, lam, r_star, n_path, tol, max_outer,
+                            j_fn, grad_fn, polish, end_max)
+    coarse_start = out is not None and out["converged"]
+    if not coarse_start:
+        floor = out["polish_residual"] if out else math.inf
+        out = mountain_pass_path(j_fn, grad_fn, direction_fn,
+                                 u0_state.u.values, u1.values, n_path=n_path,
+                                 tol=tol, max_outer=max_outer, polish_solve=polish)
+        out["polish_residual"] = min(floor, out["polish_residual"])
+    state = energy_and_gradient(spec, trunc, GridFunction(grid, out.pop("v")), lam)
+    return MountainPassResult(state=state, separation_ok=separation_ok,
+                              coarse_start=coarse_start, **out)
 
 
 # ---------------------------------------------------------------------------

@@ -84,14 +84,13 @@ def _solve_increasing(fn, target, lo, hi, iters: int = ROOT_RTOL_ITERS) -> np.nd
     a = np.full(t.shape, float(lo))
     b = np.full(t.shape, float(hi))
     for _ in range(iters):
-        mid = a * b
-        np.sqrt(mid, out=mid)
+        mid = np.sqrt(a) * np.sqrt(b)  # a * b under- or overflows
         high = fn(mid) >= t
         if np.all(np.where(high, b, a) == mid):
             break
         np.copyto(b, mid, where=high)
         np.copyto(a, mid, where=~high)
-    return np.sqrt(a * b)
+    return np.sqrt(a) * np.sqrt(b)
 
 
 @dataclass(frozen=True)
@@ -300,13 +299,7 @@ def young_conjugate(psi: YoungFunction) -> YoungFunction:
         s = maximizer(t)
         return s * np.atleast_1d(np.asarray(t, float)) - psi(s)
 
-    second = None
-    if psi.has_second:
-        def second(t):
-            s = maximizer(t)
-            return 1.0 / psi.second(s)
-
-    return YoungFunction(value, maximizer, second,
+    return YoungFunction(value, maximizer,
                          t_lo=d_lo * (1.0 + 1e-12), t_hi=d_hi * (1.0 - 1e-12),
                          name=f"conj({psi.name})")
 

@@ -197,7 +197,8 @@ def test_tolerance_registry_follows_the_constants():
     "solver.embed_trials=0", "grid.n_interior=0", "reaction.gamma=1.5",
     "solver.seed=-1", "hypotheses.t_max=0", "hypotheses.t_max=-5",
     "grid.length=nan", "grid.length=inf", "solver.tol_first=0",
-    "solver.tol_first=nan", "solver.tol_mountain=0", "solver.max_iter=0"])
+    "solver.tol_first=nan", "solver.tol_mountain=0", "solver.max_iter=0",
+    "operator.N=nan", "operator.N=inf"])
 def test_config_load_errors_exit_two(a5_config, tmp_path, capsys, override):
     code = main(["lambda-star", "--config", str(a5_config), "--override", override,
                  "--out", str(tmp_path / "o")])
@@ -205,6 +206,18 @@ def test_config_load_errors_exit_two(a5_config, tmp_path, capsys, override):
     assert code == 2
     assert err.startswith("configuration error:")
     assert "Traceback" not in err
+
+
+def test_unmet_mountain_tolerance_is_named(a5_config, tmp_path, capsys):
+    # the polish floor grows with the level, about 1e-8 for A5 at 1.36e8
+    code = main(["mountain-pass", "--config", str(a5_config), "--out", str(tmp_path / "o"),
+                 "--override", "solver.tol_mountain=1e-12"])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert "converged=False" in captured.out
+    errors = [line for line in captured.err.splitlines() if line.startswith("error:")]
+    assert len(errors) == 1 and "solver.tol_mountain=1e-12" in errors[0]
+    assert 1e-12 < float(errors[0].split()[-1]) < 1e-4
 
 
 @pytest.mark.parametrize("command", ["mountain-pass", "solve", "degiorgi"])

@@ -203,6 +203,15 @@ def test_luxemburg_rows_span_blocks(pathological):
         [luxemburg_of(pathological, row, 1.0 / n) for row in rows]).tobytes()
 
 
+@pytest.mark.parametrize("scale", [1e-305, 1e200])
+def test_luxemburg_extreme_magnitudes(scale):
+    # the product of the bracket ends underflows to 0 (then psi is evaluated
+    # at v / 0) or overflows to inf at these magnitudes
+    weight = 40.0 / 128.0
+    norm = luxemburg_of(ph.power_young(3.0), np.full(127, scale), weight)
+    assert norm == pytest.approx(scale * (127 * weight) ** (1.0 / 3.0), rel=1e-12)
+
+
 def test_luxemburg_upward_budget_names_psi():
     # the modular of a weight this large exceeds 1 at every scaling the
     # 200 doublings reach

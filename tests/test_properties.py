@@ -1,0 +1,70 @@
+"""Property tests: Young's inequality, lockstep Luxemburg norms, config fuzzing."""
+
+import contextlib
+import io
+import tempfile
+from pathlib import Path
+
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
+
+import philap as ph
+from philap.cli import main
+from philap.orlicz import luxemburg_of
+from philap.problems import _ALLOWED_KEYS
+
+# derandomized and without an example database, so that every run draws
+# the same examples and writes nothing
+FIXED = settings(max_examples=25, deadline=None, derandomize=True, database=None)
+CONFIG = Path(__file__).resolve().parents[1] / "configs" / "two_solutions.ini"
+
+
+@FIXED
+@given(p=st.floats(1.1, 6.0), log_s=st.floats(-3.0, 3.0), log_sigma=st.floats(-3.0, 3.0))
+def test_young_inequality_power(p, log_s, log_sigma):
+    psi = ph.power_young(p)
+    conj = ph.young_conjugate(psi)
+    s, sigma = 10.0 ** log_s, 10.0 ** log_sigma
+    t = psi.prime(sigma)
+    assert s * t <= (psi(s) + conj(t)) * (1.0 + 1e-12)
+    # equality where t is the slope at s
+    t_s = psi.prime(s)
+    assert abs(s * t_s - (psi(s) + conj(t_s))) <= 1e-9 * s * t_s
+
+
+@FIXED
+@given(values=arrays(np.float64, st.tuples(st.integers(1, 6), st.integers(1, 40)),
+                     elements=st.floats(-1e3, 1e3)),
+       log_scale=st.integers(-100, 100), weight=st.floats(1e-3, 1.0),
+       generator=st.sampled_from(["power", "log-power"]))
+def test_luxemburg_rows_equal_single_calls(values, log_scale, weight, generator):
+    psi = ph.power_young(3.0) if generator == "power" else ph.log_power_young(3.0)
+    rows = values * 10.0 ** log_scale
+    norms = luxemburg_of(psi, rows, weight)
+    assert norms.tobytes() == np.array([luxemburg_of(psi, r, weight) for r in rows]).tobytes()
+
+
+_KEYS = sorted(f"{section}.{key}" for section, keys in _ALLOWED_KEYS.items() for key in keys)
+_VALUES = st.one_of(
+    st.sampled_from(["", "auto", "abc", "nan", "inf", "-inf", "0", "-1", "1e400",
+                     "power", "log_power", "pathological", "upsilon_ratio"]),
+    st.floats().map(repr),
+    st.floats(-10.0, 10.0).map(repr),
+    st.integers(-3, 300).map(str))
+
+
+@settings(FIXED, max_examples=20)
+@given(command=st.sampled_from(["check", "lambda-star"]),
+       overrides=st.lists(st.tuples(st.sampled_from(_KEYS), _VALUES), min_size=1, max_size=3))
+def test_config_fuzz_exit_codes(command, overrides):
+    argv = [command, "--config", str(CONFIG)]
+    for key, value in overrides:
+        argv += ["--override", f"{key}={value}"]
+    out, err = io.StringIO(), io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp:
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv + ["--out", tmp])
+    assert code in (0, 1, 2)
+    assert "Traceback" not in out.getvalue() + err.getvalue()

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import philap as ph
+from philap import solver
 from philap.errors import SolverError
 from philap.solver import (
     _j_gradient,
@@ -300,12 +301,81 @@ def test_mountain_pass_polishes_straight_path_crest(a5_pipeline):
 
 
 def test_mountain_pass_pathological_fine_grid():
-    # the straight path's crest polishes to the solution; deforming it first
-    # collapses the path to the endpoint level at this grid size
+    # the coarse grid's saddle polishes to the solution; a path search that
+    # deforms the straight path's crest before polishing it collapses to the
+    # endpoint level at this grid size
     res = ph.two_solution_pipeline(
         ph.builtin_example("pathological-reaction", n_interior=1023))
-    assert res.mp.converged and not res.mp.collapsed
+    assert res.mp.converged and not res.mp.collapsed and res.mp.coarse_start
     assert abs(res.mp.level / 166821.0 - 1.0) < 1e-3
+
+
+def _a5_at(n):
+    spec = ph.builtin_example("A5", n_interior=n)
+    return spec, ph.two_solution_pipeline(spec)
+
+
+def _rerun_mountain_pass(spec, res):
+    return ph.mountain_pass(spec, ph.truncate_reaction(spec, res.sub), res.first,
+                            res.uphill, res.lam, r_star=res.admissibility.r_star)
+
+
+def test_mountain_pass_coarse_start_fine_grid():
+    spec, res = _a5_at(1023)
+    assert res.mp.converged and res.mp.coarse_start
+    assert abs(res.mp.level / 1.36104e8 - 1.0) < 1e-3
+    assert res.verify_second.max_residual < 1e-4
+
+
+def test_mountain_pass_coarse_start_solve_count(monkeypatch):
+    # polishes from the straight path's crests fail at this grid size and
+    # took 670 banded solves; the coarse chain and one fine polish take ~50
+    spec, res = _a5_at(2047)
+    solve, calls = solver._banded_solve, []
+
+    def counting(*args):
+        calls.append(1)
+        return solve(*args)
+
+    monkeypatch.setattr(solver, "_banded_solve", counting)
+    mp = _rerun_mountain_pass(spec, res)
+    assert mp.converged and mp.coarse_start
+    assert len(calls) <= 60
+
+
+def _reject_polish(monkeypatch):
+    start = solver._coarse_start
+
+    def rejected(*args):
+        out = start(*args)
+        out["converged"] = False
+        return out
+
+    monkeypatch.setattr(solver, "_coarse_start", rejected)
+
+
+def _stall_coarse_chain(monkeypatch):
+    # the fine run's uphill endpoint exists already, so only the coarse
+    # chain meets this
+    def stalled(*args, **kwargs):
+        raise SolverError("no energy drop")
+
+    monkeypatch.setattr(solver, "uphill_endpoint", stalled)
+
+
+@pytest.fixture(scope="module")
+def a5_n255():
+    return _a5_at(255)
+
+
+@pytest.mark.parametrize("failure", [_reject_polish, _stall_coarse_chain])
+def test_mountain_pass_coarse_start_falls_back(a5_n255, monkeypatch, failure):
+    spec, res = a5_n255
+    assert res.mp.coarse_start
+    failure(monkeypatch)
+    mp = _rerun_mountain_pass(spec, res)
+    assert mp.converged and not mp.collapsed and not mp.coarse_start
+    assert abs(mp.level / res.mp.level - 1.0) < 1e-6
 
 
 def test_mountain_pass_solution_verifies(a5_pipeline):

@@ -361,11 +361,11 @@ def _bisect_all_rounds(fn, target, lo, hi):
     t = np.atleast_1d(np.asarray(target, dtype=float))
     a, b = np.full(t.shape, float(lo)), np.full(t.shape, float(hi))
     for _ in range(young.ROOT_RTOL_ITERS):
-        mid = np.sqrt(a * b)
+        mid = np.sqrt(a) * np.sqrt(b)
         high = fn(mid) >= t
         b = np.where(high, mid, b)
         a = np.where(high, a, mid)
-    return np.sqrt(a * b)
+    return np.sqrt(a) * np.sqrt(b)
 
 
 @pytest.mark.parametrize("generator", ["power", "log-power", "pathological"])

@@ -33,9 +33,16 @@ __all__ = [
     "write_table",
 ]
 
-LUXEMBURG_ITERS = 70  # geometric bisection, resolves well below 1e-10 relative
-# elements per lockstep Luxemburg block (128 KiB of float64): 32 trial
-# rows of 2048 cells in one block bisect slower than in blocks of 8 rows
+# rounds of regula falsi per Luxemburg bracket.  A row whose log bracket
+# is wider than log(2) * 2**(-(j - 2) / 2) after j rounds bisects next, so
+# past two free rounds it halves at least every other round; adjacent
+# normal doubles lie at most 2**-52 apart in log, so a row closes within
+# 2 + 2 * 52 = 106 rounds, as many as a modular that makes every secant
+# step crawl by one ulp takes.  The benchmark workloads' rows close in 2-11.
+LUXEMBURG_ITERS = 110
+# elements per lockstep Luxemburg block (128 KiB of float64): the 32
+# trial rows of the embedding estimate at 2048 cells close faster in blocks
+# of 8 rows than in blocks of 4, 16 or 32 rows
 LUXEMBURG_BLOCK = 16384
 
 
@@ -123,63 +130,112 @@ def modular(psi: YoungFunction, u: GridFunction) -> float:
 def _luxemburg_rows(psi: YoungFunction, vals: np.ndarray, weight: float) -> np.ndarray:
     """Luxemburg norms of the rows of a non-negative 2-D array, in lockstep.
 
-    Every row takes exactly the bracket path it takes alone; one psi call
-    per round serves all rows that are still moving.
+    The modular M(lam) = sum psi(v/lam) weight falls with lam almost as a
+    power law (its log-log slope lies between minus the growth indices),
+    so each row brackets M = 1 between probes a factor 2 apart and then
+    closes the bracket by Illinois regula falsi on (log lam, log M)
+    (Dowell & Jarratt, BIT 11, 1971).  A row whose log bracket falls behind
+    half the pace of bisection takes a geometric midpoint instead, which
+    bounds it by LUXEMBURG_ITERS rounds.  Every trial lies at least one ulp
+    inside the bracket, and a row stops at a flip pair: adjacent doubles
+    a < b with M(a) > 1 >= M(b).  Every row takes exactly the path it takes
+    alone; one psi call per round serves all rows that are still open.
     """
+    n = vals.shape[0]
     vmax = vals.max(axis=1, initial=0.0)
-    lo, hi = vmax.copy(), vmax.copy()
+    a, b = np.zeros(n), np.zeros(n)  # M(a) > 1 >= M(b)
+    ma, mb = np.zeros(n), np.zeros(n)
     live = vmax > 0.0  # an all-zero row has norm 0
 
-    def over(block: np.ndarray, lam: np.ndarray) -> np.ndarray:
-        return np.sum(psi(block / lam[:, None]), axis=1) * weight > 1.0
+    def modular_rows(block: np.ndarray, lam: np.ndarray) -> np.ndarray:
+        return np.sum(psi(block / lam[:, None]), axis=1) * weight
 
-    # the first probe, at vmax, picks each row's direction: expand hi upward
-    # (200 probes) until the modular is <= 1, or lo downward (400 probes)
-    # until it is > 1
+    def settle(rows, lam, m):
+        """Store each probe as the end of the bracket it belongs to; return
+        the rows whose probe stayed above 1."""
+        high = m > 1.0
+        a[rows[high]], ma[rows[high]] = lam[high], m[high]
+        b[rows[~high]], mb[rows[~high]] = lam[~high], m[~high]
+        return high
+
+    # the first probe, at vmax, picks each row's direction: double upward
+    # (200 probes) until the modular is <= 1, or halve downward (400 probes)
+    # until it is > 1; the last two probes bracket the norm
     rows = np.flatnonzero(live)
-    first = over(vals[rows], vmax[rows])
+    first = settle(rows, vmax[rows], modular_rows(vals[rows], vmax[rows]))
     up, down = rows[first], rows[~first]
-    for i in range(200):
-        if i:
-            up = up[over(vals[up], hi[up])]
+    for _ in range(200):
         if not up.size:
             break
-        hi[up] *= 2.0
+        lam = a[up] * 2.0
+        up = up[settle(up, lam, modular_rows(vals[up], lam))]
     if up.size:
         raise EvalDomainError(f"{psi.name}: Luxemburg bracket expansion failed upward "
                               f"after 200 doublings")
-    for i in range(400):
-        if i:
-            down = down[~over(vals[down], lo[down])]
+    for _ in range(400):
         if not down.size:
             break
-        lo[down] /= 2.0
-        tiny = lo[down] < 1e-300
-        # the modular stays <= 1 for arbitrarily small scalings: zero norm
-        live[down[tiny]] = False
-        down = down[~tiny]
+        lam = b[down] / 2.0
+        # the bracket vanished: the modular stays <= 1 down to the smallest
+        # positive double, so the norm rounds to 0
+        gone = lam == 0.0
+        live[down[gone]] = False
+        down, lam = down[~gone], lam[~gone]
+        down = down[~settle(down, lam, modular_rows(vals[down], lam))]
+    if down.size:
+        raise EvalDomainError(f"{psi.name}: Luxemburg bracket expansion failed downward "
+                              f"after 400 halvings")
 
     rows = np.flatnonzero(live)
-    block, a, b = vals[rows], lo[rows], hi[rows]
-    for _ in range(LUXEMBURG_ITERS):
-        mid = np.sqrt(a) * np.sqrt(b)  # a * b under- or overflows
-        high = over(block, mid)
-        if np.all(np.where(high, a, b) == mid):
-            break  # no bracket moves: later rounds would repeat this one
-        np.copyto(a, mid, where=high)
-        np.copyto(b, mid, where=~high)
-    norms = np.zeros(vals.shape[0])
+    a, b, block = a[rows], b[rows], vals[rows]
+    with np.errstate(divide="ignore"):
+        fa, fb = np.log(ma[rows]), np.log(mb[rows])  # > 0 at a, <= 0 at b
+    side = np.zeros(rows.size, dtype=np.int8)  # end replaced last round: -1 a, +1 b
+    bisect = np.zeros(rows.size, dtype=bool)
+    for j in range(1, LUXEMBURG_ITERS + 1):
+        k = np.flatnonzero(np.nextafter(a, np.inf) < b)
+        if not k.size:
+            break
+        ak, bk, fak, fbk = a[k], b[k], fa[k], fb[k]
+        width = np.log1p((bk - ak) / ak)  # log(b / a) without cancellation
+        with np.errstate(invalid="ignore", over="ignore"):
+            lam = ak + ak * np.expm1(fak / (fak - fbk) * width)
+        # an infinite log modular (M overflowed or vanished) gives no secant
+        geo = bisect[k] | ~np.isfinite(fak - fbk) | ~np.isfinite(lam)
+        lam[geo] = np.sqrt(ak[geo]) * np.sqrt(bk[geo])  # a * b under- or overflows
+        lam = np.minimum(np.maximum(lam, np.nextafter(ak, np.inf)), np.nextafter(bk, 0.0))
+        m = modular_rows(block[k], lam)
+        high = m > 1.0
+        with np.errstate(divide="ignore"):
+            f = np.log(m)
+        hk, lk = k[high], k[~high]
+        a[hk], fa[hk] = lam[high], f[high]
+        b[lk], fb[lk] = lam[~high], f[~high]
+        # Illinois: an end kept for a second round running has its log
+        # modular halved, so that the next secant crosses the root
+        fb[hk[side[hk] == -1]] *= 0.5
+        fa[lk[side[lk] == 1]] *= 0.5
+        side[k] = np.where(high, -1, 1)
+        # safeguard: a row whose log bracket lags half the pace of bisection
+        # from log 2 (after two free rounds) bisects in the next round; all
+        # rows start together, so round j is every open row's j-th
+        bisect[k] = np.log1p((b[k] - a[k]) / a[k]) > math.log(2.0) * 0.5 ** ((j - 2) / 2)
+    if np.any(np.nextafter(a, np.inf) < b):
+        raise EvalDomainError(f"{psi.name}: Luxemburg regula falsi left a bracket open "
+                              f"after {LUXEMBURG_ITERS} rounds")
+    norms = np.zeros(n)
     norms[rows] = np.sqrt(a) * np.sqrt(b)
     return norms
 
 
 def luxemburg_of(psi: YoungFunction, values, weight: float):
-    """inf{lam > 0 : sum psi(|v|/lam) weight <= 1} by geometric bisection.
+    """inf{lam > 0 : sum psi(|v|/lam) weight <= 1} by safeguarded regula falsi.
 
-    A 1-D array gives a float.  A 2-D array gives one norm per row: rows
-    bisect in lockstep, LUXEMBURG_BLOCK elements at a time, and each
-    row's norm is bit-identical to the norm of that row alone.  The
-    bisection stops early once no row's bracket moves.
+    The result is the geometric mean of a flip pair, two adjacent doubles
+    whose modulars straddle 1.  A 1-D array gives a float.  A 2-D array
+    gives one norm per row: rows iterate in lockstep, LUXEMBURG_BLOCK
+    elements at a time, and each row's norm is bit-identical to the norm
+    of that row alone.  The input is not modified.
     """
     vals = np.abs(np.asarray(values, dtype=float))
     if vals.ndim <= 1:
@@ -213,8 +269,8 @@ def estimate_embedding_constant(phi: YoungFunction, target: YoungFunction,
     functions (the fundamental mode is always included), inflated by a
     safety factor.  A larger constant only tightens the admissible
     parameter range downstream, so conservative is safe.  The trials are
-    stacked as rows, and each norm is one lockstep Luxemburg bisection
-    over all of them.
+    stacked as rows, and the gradient norms and the value norms are one
+    lockstep Luxemburg computation each.
     """
     if rng is None:
         rng = np.random.default_rng(0)

@@ -1,11 +1,25 @@
 """Discrete grid space: modulars, Luxemburg norms, gradients, embedding."""
 
+import re
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 import philap as ph
+from philap import orlicz, threshold
 from philap.errors import ConstructionError, EvalDomainError
-from philap.orlicz import LUXEMBURG_BLOCK, LUXEMBURG_ITERS, luxemburg_of, modular_of
+from philap.orlicz import (
+    LUXEMBURG_BLOCK,
+    LUXEMBURG_ITERS,
+    estimate_embedding_constant,
+    luxemburg_of,
+    modular_of,
+)
+from philap.problems import load_problem
+from philap.solver import threshold_stage
+
+CONFIG = Path(__file__).resolve().parents[1] / "configs" / "two_solutions.ini"
 
 
 @pytest.fixture
@@ -168,7 +182,8 @@ def test_refinement_stability():
 def _bracket_rows(grid):
     """Rows for the lockstep tests: a zero row, a row whose norm lies above
     its sup (upward expansion), a spike whose norm lies below it (downward
-    expansion), a row that takes the zero-norm exit, and random rows."""
+    expansion), that spike scaled to 1e-305 (a norm near the bottom of the
+    double range), and random rows."""
     n = grid.n_interior
     rng = np.random.default_rng(21)
     spike = np.zeros(n)
@@ -190,8 +205,11 @@ def test_luxemburg_rows_match_single_calls(grid, pathological, generator):
     assert isinstance(single[0], float)
     assert norms.shape == (len(rows),)
     assert norms.tobytes() == np.array(single).tobytes()  # bit for bit
-    assert norms[0] == 0.0 and norms[3] == 0.0
+    assert norms[0] == 0.0 and norms[3] > 0.0
     assert norms[1] > np.abs(rows[1]).max() and norms[2] < np.abs(rows[2]).max()
+    if generator == "power":
+        # one nonzero value v: the norm solves (v / lam)^3 weight = 1
+        assert norms[3] == pytest.approx(4e-305 * weight ** (1.0 / 3.0), rel=1e-12)
 
 
 def test_luxemburg_rows_span_blocks(pathological):
@@ -218,6 +236,53 @@ def test_luxemburg_upward_budget_names_psi():
     psi = ph.power_young(2.0)
     with pytest.raises(EvalDomainError, match="Luxemburg bracket expansion"):
         luxemburg_of(psi, np.ones((2, 4)), 1e300)
+
+
+def test_luxemburg_downward_budget_names_psi():
+    # psi(t) = t trusted up to 1e300: the modular of a weight this small stays
+    # <= 1 at every scaling the 400 halvings reach (the norm is 1e-200)
+    psi = ph.YoungFunction(lambda t: t, np.ones_like, t_hi=1e300, name="linear")
+    with pytest.raises(EvalDomainError,
+                       match="linear: Luxemburg bracket expansion failed downward"):
+        luxemburg_of(psi, np.ones(4), 1e-200)
+
+
+def test_luxemburg_iteration_budget_names_psi(pathological, monkeypatch):
+    # a row that needs more rounds than the budget allows raises instead of
+    # returning an open bracket
+    monkeypatch.setattr(orlicz, "LUXEMBURG_ITERS", 3)
+    rows = np.random.default_rng(23).uniform(0.1, 2.0, (2, 50))
+    with pytest.raises(EvalDomainError,
+                       match=re.escape(pathological.name) + ": Luxemburg regula falsi"):
+        luxemburg_of(pathological, rows, 0.02)
+
+
+@pytest.fixture(scope="module")
+def critical_table():
+    return ph.sobolev_conjugate(ph.log_power_young(3.0), 4)
+
+
+@pytest.mark.parametrize("generator", ["power", "pathological", "sobolev-conjugate"])
+def test_luxemburg_flip_pair(grid, pathological, critical_table, generator):
+    # each norm and one of its neighbouring doubles straddle M = 1, with the
+    # modular summed as the norm computation sums it
+    psi = {"power": ph.power_young(3.0), "pathological": pathological,
+           "sobolev-conjugate": critical_table}[generator]
+    rows = np.abs(_bracket_rows(grid))
+    weight = 40.0 * grid.h
+    norms = luxemburg_of(psi, rows, weight)
+    for row, lam in zip(rows[1:], norms[1:]):
+        pair = np.array([np.nextafter(lam, 0.0), lam, np.nextafter(lam, np.inf)])
+        m = np.sum(psi(row / pair[:, None]), axis=1) * weight
+        assert (m[0] > 1.0 >= m[1]) or (m[1] > 1.0 >= m[2])
+
+
+def test_luxemburg_leaves_input_unchanged(pathological):
+    rows = np.random.default_rng(24).normal(size=(3, 40))
+    before = rows.copy()
+    luxemburg_of(pathological, rows, 0.05)
+    luxemburg_of(pathological, rows[0], 0.05)
+    assert rows.tobytes() == before.tobytes()
 
 
 # ---------------------------------------------------------------------------
@@ -313,6 +378,25 @@ def test_embedding_constant_evaluation_count(pathological, n, monkeypatch):
     ph.estimate_embedding_constant(pathological, target, grid, rng=np.random.default_rng(5))
     blocks = 2 * -(-32 // (LUXEMBURG_BLOCK // (n + 1)))
     assert len(calls) <= blocks * (LUXEMBURG_ITERS + 10)
+
+
+def test_embedding_constant_evaluation_total(monkeypatch):
+    # the threshold stage of configs/two_solutions.ini at n = 2047: the
+    # regula falsi evaluates about 0.9M psi values where bisection took 7.4M
+    spec, settings, _ = load_problem(CONFIG, overrides=["grid.n_interior=2047"])
+    counts = []
+
+    def counted(phi, target, grid, **kwargs):
+        sizes = []
+        for psi in {id(phi): phi, id(target): target}.values():
+            monkeypatch.setattr(psi, "_value", _counting(psi._value, sizes))
+        counts.append(sizes)
+        return estimate_embedding_constant(phi, target, grid, **kwargs)
+
+    monkeypatch.setattr(threshold, "estimate_embedding_constant", counted)
+    threshold_stage(spec, ph.run_all_checks(spec), rng=np.random.default_rng(settings.seed))
+    assert len(counts) == 1
+    assert 0 < sum(counts[0]) <= 2_500_000
 
 
 def test_embedding_budget_error_names_stage(grid):

@@ -1,4 +1,5 @@
-"""Property tests: Young's inequality, lockstep Luxemburg norms, config fuzzing."""
+"""Property tests: Young's inequality, lockstep Luxemburg norms and their flip
+pairs, config fuzzing."""
 
 import contextlib
 import io
@@ -6,7 +7,7 @@ import tempfile
 from pathlib import Path
 
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
@@ -16,7 +17,8 @@ from philap.orlicz import luxemburg_of
 from philap.problems import _ALLOWED_KEYS
 
 # derandomized and without an example database, so that every run draws
-# the same examples and writes nothing
+# the same examples; hypothesis still caches the literals it collects from
+# the source under .hypothesis/constants/ (ignored by git)
 FIXED = settings(max_examples=25, deadline=None, derandomize=True, database=None)
 CONFIG = Path(__file__).resolve().parents[1] / "configs" / "two_solutions.ini"
 
@@ -44,6 +46,28 @@ def test_luxemburg_rows_equal_single_calls(values, log_scale, weight, generator)
     rows = values * 10.0 ** log_scale
     norms = luxemburg_of(psi, rows, weight)
     assert norms.tobytes() == np.array([luxemburg_of(psi, r, weight) for r in rows]).tobytes()
+
+
+@FIXED
+@given(values=arrays(np.float64, st.integers(1, 40), elements=st.floats(0.0, 1e3)),
+       log_scale=st.integers(-100, 100), weight=st.floats(1e-3, 1.0),
+       generator=st.sampled_from(["power", "log-power"]))
+@example(values=np.array([5e-324]), log_scale=0, weight=1e-3, generator="power")
+@example(values=np.array([0.0, 3e-323]), log_scale=0, weight=0.5, generator="power")
+def test_luxemburg_flip_pair(values, log_scale, weight, generator):
+    # the norm and one of its neighbouring doubles straddle M = 1, with the
+    # modular summed as the norm computation sums it
+    psi = ph.power_young(3.0) if generator == "power" else ph.log_power_young(3.0)
+    row = values * 10.0 ** log_scale
+    lam = luxemburg_of(psi, row, weight)
+    if lam == 0.0:
+        # the bracket vanished: M <= 1 down to the smallest positive double
+        assert np.sum(psi(row / 5e-324)) * weight <= 1.0
+        return
+    # below the smallest positive double the lower neighbour is lam itself
+    pair = np.array([np.nextafter(lam, 0.0) or lam, lam, np.nextafter(lam, np.inf)])
+    m = np.sum(psi(row / pair[:, None]), axis=1) * weight
+    assert (m[0] > 1.0 >= m[1]) or (m[1] > 1.0 >= m[2])
 
 
 _KEYS = sorted(f"{section}.{key}" for section, keys in _ALLOWED_KEYS.items() for key in keys)

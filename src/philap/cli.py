@@ -25,6 +25,8 @@ from .problems import (
     run_all_checks,
 )
 from .solver import (
+    COARSE_N,
+    NEWTON_STEPS,
     TORSION_TOL,
     solution_stage,
     threshold_stage,
@@ -66,6 +68,8 @@ TOLERANCES = {
     "torsion_tol": _sci(TORSION_TOL),
     "first_solution_tol": _sci(SolverSettings.tol_first),
     "mountain_pass_tol": _sci(SolverSettings.tol_mountain),
+    "coarse_n": str(COARSE_N),
+    "newton_steps": str(NEWTON_STEPS),
     "hf2_slack": _sci(HF2_SLACK),
     "hf3_slack": _sci(HF3_SLACK),
 }

@@ -2,10 +2,10 @@
 
 Torsion sub-solution, reaction truncation at the sub-solution level,
 energy descent for the constrained first solution, the mountain-pass
-solution (on fine grids a Newton polish of the saddle found on a coarse
-grid; otherwise a Newton polish from the crest of a discrete path, with
-path deformation as the fallback), weak-residual verification, and a
-level-set iteration certifying a sup bound on computed solutions.
+solution (the crest of a straight path polished once by Newton; on fine
+grids the saddle found on a coarse grid, polished once), weak-residual
+verification, and a level-set iteration certifying a sup bound on
+computed solutions.
 """
 
 from __future__ import annotations
@@ -61,6 +61,8 @@ ARMIJO_SLOPE = 1e-4
 TORSION_TOL = 1e-8
 # grids finer than this start the mountain pass from the saddle found on it
 COARSE_N = 127
+# step budget of the Newton polish of a mountain-pass candidate
+NEWTON_STEPS = 60
 
 
 # ---------------------------------------------------------------------------
@@ -72,20 +74,24 @@ def _phi_odd(phi: YoungFunction, g: np.ndarray) -> np.ndarray:
     return np.sign(g) * phi.prime(np.abs(g))
 
 
-def _grad_energy(phi: YoungFunction, grid: Grid, u: np.ndarray) -> float:
-    g = np.diff(np.concatenate([[0.0], u, [0.0]])) / grid.h
-    return float(np.sum(phi(np.abs(g))) * grid.h)
+def _slopes(grid: Grid, u: np.ndarray) -> np.ndarray:
+    """Cell slopes of a state (or of each row) with zero boundary values."""
+    return np.diff(u, prepend=0.0, append=0.0) / grid.h
+
+
+def _grad_energy(phi: YoungFunction, grid: Grid, u: np.ndarray):
+    """Gradient energy of a state, or of each row of a 2-D array of states."""
+    return np.sum(phi(np.abs(_slopes(grid, u))), axis=-1) * grid.h
 
 
 def _grad_energy_gradient(phi: YoungFunction, grid: Grid, u: np.ndarray) -> np.ndarray:
-    g = np.diff(np.concatenate([[0.0], u, [0.0]])) / grid.h
-    flux = _phi_odd(phi, g)
+    flux = _phi_odd(phi, _slopes(grid, u))
     return flux[:-1] - flux[1:]
 
 
 def _cell_weights(phi: YoungFunction, grid: Grid, u: np.ndarray) -> np.ndarray:
     """Cellwise diffusion weights for the tridiagonal linearization."""
-    g = np.abs(np.diff(np.concatenate([[0.0], u, [0.0]])) / grid.h)
+    g = np.abs(_slopes(grid, u))
     if phi.has_second:
         w = phi.second(g)
     else:
@@ -323,9 +329,9 @@ class EnergyState:
 
 def _j_parts(spec: ProblemSpec, trunc: TruncatedReaction, u: np.ndarray,
              lam: float):
-    h = spec.grid.h
+    """H, K and J = H - lam K of a state, or of each row of a 2-D array."""
     hval = _grad_energy(spec.phi, spec.grid, u)
-    kval = float(np.sum(trunc.big_f_hat(u)) * h)
+    kval = np.sum(trunc.big_f_hat(u), axis=-1) * spec.grid.h
     return hval, kval, hval - lam * kval
 
 
@@ -340,22 +346,28 @@ def energy_and_gradient(spec: ProblemSpec, trunc: TruncatedReaction,
     lam = spec.lam if lam is None else lam
     hval, kval, jval = _j_parts(spec, trunc, u.values, lam)
     grad = _j_gradient(spec, trunc, u.values, lam)
-    return EnergyState(u=u, H_value=hval, K_value=kval, J_value=jval,
+    return EnergyState(u=u, H_value=float(hval), K_value=float(kval), J_value=float(jval),
                        gradient=grad, residual=float(np.max(np.abs(grad))))
 
 
-def _newton_hessian_solve(spec: ProblemSpec, trunc: TruncatedReaction,
-                          lam: float):
-    """Banded solve with the full Jacobian of the weak residual."""
+def _energy_fns(spec: ProblemSpec, trunc: TruncatedReaction, lam: float):
+    """J (of a state or of each row of a 2-D array), its gradient, and the
+    banded solve with the full Jacobian of the weak residual."""
     grid = spec.grid
 
-    def solve(u: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    def j_fn(u):
+        return _j_parts(spec, trunc, u, lam)[2]
+
+    def grad_fn(u):
+        return _j_gradient(spec, trunc, u, lam)
+
+    def hess_solve(u: np.ndarray, rhs: np.ndarray) -> np.ndarray:
         w = _cell_weights(spec.phi, grid, u)
         diag = (w[:-1] + w[1:]) / grid.h - lam * trunc.f_hat_slope(u) * grid.h
         off = -w[1:-1] / grid.h
         return _banded_solve(diag, off, rhs)
 
-    return solve
+    return j_fn, grad_fn, hess_solve
 
 
 # ---------------------------------------------------------------------------
@@ -367,18 +379,16 @@ def first_solution(spec: ProblemSpec, trunc: TruncatedReaction, r_star: float,
     """Constrained local minimum of the truncated energy.
 
     Projected descent over the gradient-energy ball of radius r_star;
-    radial scaling restores feasibility when a step leaves the ball.
+    radial scaling restores feasibility when a step leaves the ball.  The
+    scaled point u / lam lies on the sphere H = r_star (1 - 1e-12) when lam
+    is the Luxemburg norm of u's slopes under phi with weight
+    h / (r_star (1 - 1e-12)).
     Returns (EnergyState, flags, trace).
     """
     grid = spec.grid
     trace = DescentTrace()
     hits = {"projections": 0}
-
-    def j_fn(u):
-        return _j_parts(spec, trunc, u, lam)[2]
-
-    def grad_fn(u):
-        return _j_gradient(spec, trunc, u, lam)
+    j_fn, grad_fn, _ = _energy_fns(spec, trunc, lam)
 
     def direction_fn(u, g):
         return _precond_direction(spec.phi, grid, u, g)
@@ -387,14 +397,7 @@ def first_solution(spec: ProblemSpec, trunc: TruncatedReaction, r_star: float,
         if _grad_energy(spec.phi, grid, u) <= r_star:
             return u
         hits["projections"] += 1
-        lo, hi = 0.0, 1.0
-        for _ in range(80):
-            mid = 0.5 * (lo + hi)
-            if _grad_energy(spec.phi, grid, mid * u) > r_star * (1.0 - 1e-12):
-                hi = mid
-            else:
-                lo = mid
-        return lo * u
+        return u / luxemburg_of(spec.phi, _slopes(grid, u), grid.h / (r_star * (1.0 - 1e-12)))
 
     u, converged, iterations = _descent(j_fn, grad_fn, direction_fn,
                                         trunc.sub.u_under.values, tol, max_iter,
@@ -446,89 +449,37 @@ def uphill_endpoint(spec: ProblemSpec, trunc: TruncatedReaction,
                       "superlinearity violated numerically")
 
 
-def mountain_pass_path(j_fn, grad_fn, direction_fn, u0: np.ndarray,
-                       u1: np.ndarray, n_path: int = 41, tol: float = 1e-4,
-                       max_outer: int = 100000,
-                       collapse_tol: Optional[float] = None, polish_solve=None):
-    """Critical point at the crest of a discrete path between two low states.
+def mountain_pass_path(j_fn, grad_fn, hess_solve, u0: np.ndarray, u1: np.ndarray,
+                       n_path: int = 41, tol: float = 1e-4):
+    """Critical point at the crest of the straight path between two low states.
 
-    Each outer iteration takes the maximum-energy interior state as the
-    crest.  With a Hessian solve, a damped Newton polish on the weak
-    residual is tried from it first; the polished point is accepted only
-    when its residual is below tol and its energy stays above both
-    endpoints, so the polish cannot land on the minimizer the path starts
-    from.  Otherwise the crest takes one descent step, capped by half the
-    distance to its path neighbors so it cannot teleport past the ridge
-    it is resolving, and the next iteration polishes from the new crest.
-    The path collapses when its crest falls to the endpoint level.
+    The discrete form of Choi & McKenna's mountain-pass algorithm
+    (Nonlinear Anal. 20, 1993): the path is sampled at n_path states, all
+    evaluated by one j_fn call on the 2-D array of states, and its
+    maximum-energy interior state, the crest, is polished once by damped
+    Newton on the weak residual.  The polished point is accepted when its
+    residual is below tol and its energy lies above both endpoints by tol,
+    so the polish cannot land on the minimizer the path starts from.  The
+    path collapses when its crest, or the polish, falls to the endpoint
+    level; a polish that stays above the endpoints but misses tol leaves
+    both flags unset.
     """
-    if collapse_tol is None:
-        collapse_tol = tol
     n_path = max(n_path, 5)
     ts = np.linspace(0.0, 1.0, n_path)[:, None]
     states = (1.0 - ts) * u0[None, :] + ts * u1[None, :]
-    energies = np.array([j_fn(s) for s in states])
+    energies = j_fn(states)
     end_max = max(energies[0], energies[-1])
-    converged = False
-    collapsed = False
-    res = floor = math.inf
-    outer = 0
-    for outer in range(max_outer):
-        k = 1 + int(np.argmax(energies[1:-1]))
-        if energies[k] <= end_max + collapse_tol:
-            collapsed = True
-            break
-        g = grad_fn(states[k])
-        res = float(np.max(np.abs(g)))
-        if res < tol:
-            converged = True
-            break
-        if polish_solve is not None:
-            polished, p_res = _polish_critical(grad_fn, polish_solve, states[k], tol)
-            j_pol = j_fn(polished)
-            if j_pol > end_max + collapse_tol:
-                floor = min(floor, p_res)
-                if p_res < tol:
-                    states[k], energies[k], res = polished, j_pol, p_res
-                    converged = True
-                    break
-        d = direction_fn(states[k], g) if direction_fn is not None else -g
-        slope = float(g @ d)
-        if slope >= 0.0:
-            d, slope = -g, float(-(g @ g))
-        # trust region: stay within half the gap to the path neighbors
-        cap = 0.5 * min(float(np.linalg.norm(states[k] - states[k - 1])),
-                        float(np.linalg.norm(states[k + 1] - states[k])))
-        norm_d = float(np.linalg.norm(d))
-        if cap > 0.0 and norm_d > cap:
-            d = d * (cap / norm_d)
-            slope = float(g @ d)
-        step = 1.0
-        for _ in range(50):
-            cand = states[k] + step * d
-            j_cand = j_fn(cand)
-            if j_cand <= energies[k] + ARMIJO_SLOPE * step * slope:
-                states[k] = cand
-                energies[k] = j_cand
-                break
-            step /= 2.0
-    if not (converged or collapsed):
-        k = 1 + int(np.argmax(energies[1:-1]))
-    return {
-        "v": states[k].copy(),
-        "level": float(energies[k]),
-        "converged": converged,
-        "collapsed": collapsed,
-        "budget_exhausted": not (converged or collapsed),
-        "residual": res,
-        "polish_residual": floor,
-        "outer_iterations": outer + 1,
-        "path_energies": energies.copy(),
-    }
+    k = 1 + int(np.argmax(energies[1:-1]))
+    if energies[k] > end_max + tol:
+        out = _polish_accept(j_fn, grad_fn, hess_solve, states[k], tol, end_max)
+    else:
+        out = {"v": states[k], "level": float(energies[k]), "converged": False,
+               "collapsed": True, "residual": math.inf, "polish_residual": math.inf}
+    return dict(out, outer_iterations=1, path_energies=energies)
 
 
 def _polish_critical(grad_fn, hess_solve, u: np.ndarray, tol: float,
-                     max_steps: int = 60):
+                     max_steps: int = NEWTON_STEPS):
     """Damped Newton on the weak residual; finds the nearby critical point."""
     u = u.copy()
     g = grad_fn(u)
@@ -556,51 +507,63 @@ def _polish_critical(grad_fn, hess_solve, u: np.ndarray, tol: float,
     return u, res
 
 
+def _polish_accept(j_fn, grad_fn, hess_solve, v: np.ndarray, tol: float,
+                   end_max: float) -> dict:
+    """Newton polish from v under the acceptance rule: residual below tol,
+    energy above the endpoint level end_max by tol."""
+    v, res = _polish_critical(grad_fn, hess_solve, v, tol)
+    level = float(j_fn(v))
+    above = level > end_max + tol
+    return {"v": v, "level": level, "converged": above and res < tol,
+            "collapsed": not above, "residual": res,
+            "polish_residual": res if above else math.inf}
+
+
+def _resample(v: np.ndarray, grid: Grid, onto: Grid) -> np.ndarray:
+    """Piecewise-linear interpolant of v (zero at the ends of grid) at the
+    nodes of onto."""
+    knots = np.concatenate([[0.0], grid.nodes, [grid.length]])
+    return np.interp(onto.nodes, knots, np.pad(v, 1))
+
+
 @dataclass
 class MountainPassResult:
     state: EnergyState
     level: float
     converged: bool
     collapsed: bool
-    budget_exhausted: bool
     separation_ok: bool
     residual: float
-    outer_iterations: int
+    outer_iterations: int  # crests taken: 1, or 2 when a coarse start fails
     path_energies: np.ndarray
     polish_residual: float  # smallest of the polishes that stayed above the endpoints
     coarse_start: bool
 
 
 def _coarse_start(spec: ProblemSpec, trunc: TruncatedReaction, lam: float,
-                  r_star: float, n_path: int, tol: float, max_outer: int,
-                  j_fn, grad_fn, polish_solve, end_max: float):
-    """The whole chain on the COARSE_N grid at the same lam and r_star, its
-    saddle interpolated onto spec's nodes and polished once there; a
-    mountain_pass_path result, or None when the coarse chain fails."""
-    cspec = replace(spec, grid=Grid(COARSE_N, spec.grid.length))
+                  u0: np.ndarray, u1: np.ndarray, n_path: int, tol: float,
+                  end_max: float):
+    """The endpoints and the sub-solution sampled onto the COARSE_N grid,
+    the crest found and polished there, and that saddle interpolated back
+    onto spec's nodes and polished once; a mountain_pass_path result, or
+    None when the coarse pass fails."""
+    cgrid = Grid(COARSE_N, spec.grid.length)
     try:
-        csub = build_subsolution(cspec, trunc.sub.delta, lam=lam)
         # the truncation constants only feed the threshold: keep this run's
+        csub = replace(trunc.sub,
+                       u_under=GridFunction(cgrid, _resample(trunc.ub, spec.grid, cgrid)))
         ctrunc = TruncatedReaction(reaction=trunc.reaction, sub=csub,
                                    constants=trunc.constants)
-        cfirst, flags, _ = first_solution(cspec, ctrunc, r_star, lam, max_iter=max_outer)
-        cup = uphill_endpoint(cspec, ctrunc, cfirst, lam)
-        # no r_star: the separation check belongs to the fine run
-        cmp = mountain_pass(cspec, ctrunc, cfirst, cup, lam, n_path=n_path, tol=tol,
-                            max_outer=max_outer)
+        cmp = mountain_pass_path(*_energy_fns(replace(spec, grid=cgrid), ctrunc, lam),
+                                 _resample(u0, spec.grid, cgrid),
+                                 _resample(u1, spec.grid, cgrid), n_path=n_path, tol=tol)
+        if not cmp["converged"]:
+            return None
+        out = _polish_accept(*_energy_fns(spec, trunc, lam),
+                             _resample(cmp["v"], cgrid, spec.grid), tol, end_max)
     except PhilapError:
         return None
-    if not (flags["converged"] and cmp.converged):
-        return None
-    xs = np.concatenate([[0.0], cspec.grid.nodes, [spec.grid.length]])
-    v0 = np.interp(spec.grid.nodes, xs, np.concatenate([[0.0], cmp.state.u.values, [0.0]]))
-    v, res = _polish_critical(grad_fn, polish_solve, v0, tol)
-    level = j_fn(v)
-    above = level > end_max + tol
-    return {"v": v, "level": level, "converged": above and res < tol, "collapsed": False,
-            "budget_exhausted": False, "residual": res,
-            "polish_residual": res if above else math.inf,
-            "outer_iterations": cmp.outer_iterations, "path_energies": cmp.path_energies}
+    return dict(out, outer_iterations=1, path_energies=cmp["path_energies"])
 
 
 def mountain_pass(spec: ProblemSpec, trunc: TruncatedReaction,
@@ -610,56 +573,50 @@ def mountain_pass(spec: ProblemSpec, trunc: TruncatedReaction,
                   r_star: Optional[float] = None) -> MountainPassResult:
     """Second critical point of the truncated energy.
 
-    When the operator has a second derivative and the reaction a
-    derivative, candidate saddles are polished by damped Newton with the
-    banded Jacobian of the weak residual.  On a grid finer than COARSE_N
-    nodes, and with r_star given, the first candidate is the saddle of the
-    same problem on the COARSE_N grid (same lam and r_star), interpolated
-    linearly: by the mesh independence of Newton's method it polishes in a
-    few steps, where polishes from the straight path's crest fail on fine
-    grids.  It is accepted by the path search's rule (residual below tol,
-    energy above both endpoints); coarse_start is then set, and
-    outer_iterations and path_energies are the coarse search's.
-    Otherwise the path runs straight from the first solution to the uphill
-    endpoint u1, and each crest is polished, or deformed downhill while
-    the polish fails or there is no Hessian.
+    Candidate saddles are polished by damped Newton with the banded
+    Jacobian of the weak residual, so the operator needs a second
+    derivative and the reaction a derivative.  On a grid finer than
+    COARSE_N nodes the first candidate is the saddle of the same problem
+    on the COARSE_N grid (same lam, endpoints and sub-solution sampled
+    onto it), interpolated linearly: by the mesh independence of Newton's
+    method (Allgower, Boehmer, Potra & Rheinboldt, SIAM J. Numer. Anal. 23,
+    1986) it polishes in a few steps, where the straight path's crest can
+    lie outside Newton's basin on fine grids.  It is accepted by
+    mountain_pass_path's rule; coarse_start is then set, and path_energies
+    are the coarse path's.  Otherwise the crest of the straight path from
+    the first solution to the uphill endpoint u1 is polished once, and the
+    pass fails (converged False) when that polish is not accepted.
+    max_outer is unused and kept for callers; r_star, when given, only
+    feeds the separation check.
     """
+    if not spec.phi.has_second:
+        raise ConstructionError(f"{spec.phi.name}: the mountain pass needs the "
+                                "second derivative of the operator")
+    if trunc.reaction.derivative is None:
+        raise ConstructionError(f"{trunc.reaction.name}: the mountain pass needs the "
+                                "derivative of the reaction")
     grid = spec.grid
-
-    def j_fn(u):
-        return _j_parts(spec, trunc, u, lam)[2]
-
-    def grad_fn(u):
-        return _j_gradient(spec, trunc, u, lam)
-
-    def direction_fn(u, g):
-        return _precond_direction(spec.phi, grid, u, g)
-
     separation_ok = True
     if r_star is not None and spec.phi.indices is not None:
         pair = spec.phi.indices
         rho = r_star ** (1.0 / pair.lower) if r_star >= 1.0 else r_star ** (1.0 / pair.upper)
-        diff = u1.values - u0_state.u.values
-        dist = luxemburg_of(spec.phi, np.diff(np.concatenate([[0.0], diff, [0.0]])) / grid.h,
-                            grid.h)
+        dist = luxemburg_of(spec.phi, _slopes(grid, u1.values - u0_state.u.values), grid.h)
         separation_ok = dist > rho
 
-    polish = None
-    if spec.phi.has_second and trunc.reaction.derivative is not None:
-        polish = _newton_hessian_solve(spec, trunc, lam)
-
+    fns = _energy_fns(spec, trunc, lam)
+    u0v, u1v = u0_state.u.values, u1.values
     out = None
-    if polish is not None and r_star is not None and grid.n_interior > COARSE_N:
-        end_max = max(j_fn(u0_state.u.values), j_fn(u1.values))
-        out = _coarse_start(spec, trunc, lam, r_star, n_path, tol, max_outer,
-                            j_fn, grad_fn, polish, end_max)
+    if grid.n_interior > COARSE_N:
+        end_max = max(fns[0](u0v), fns[0](u1v))
+        out = _coarse_start(spec, trunc, lam, u0v, u1v, n_path, tol, end_max)
     coarse_start = out is not None and out["converged"]
     if not coarse_start:
-        floor = out["polish_residual"] if out else math.inf
-        out = mountain_pass_path(j_fn, grad_fn, direction_fn,
-                                 u0_state.u.values, u1.values, n_path=n_path,
-                                 tol=tol, max_outer=max_outer, polish_solve=polish)
-        out["polish_residual"] = min(floor, out["polish_residual"])
+        path = mountain_pass_path(*fns, u0v, u1v, n_path=n_path, tol=tol)
+        if grid.n_interior > COARSE_N:
+            path["outer_iterations"] = 2
+        if out is not None:
+            path["polish_residual"] = min(out["polish_residual"], path["polish_residual"])
+        out = path
     state = energy_and_gradient(spec, trunc, GridFunction(grid, out.pop("v")), lam)
     return MountainPassResult(state=state, separation_ok=separation_ok,
                               coarse_start=coarse_start, **out)

@@ -183,6 +183,8 @@ def test_tolerance_registry_follows_the_constants():
         "torsion_tol": "1e-8",
         "first_solution_tol": "1e-6",
         "mountain_pass_tol": "1e-4",
+        "coarse_n": str(solver.COARSE_N),
+        "newton_steps": str(solver.NEWTON_STEPS),
         "hf2_slack": "1e-8",
         "hf3_slack": "1e-6",
     }

@@ -7,7 +7,7 @@ import pytest
 
 import philap as ph
 from philap import solver
-from philap.errors import SolverError
+from philap.errors import ConstructionError, SolverError
 from philap.solver import (
     _j_gradient,
     _j_parts,
@@ -240,6 +240,17 @@ def test_first_solution_small_lambda_continuation(a5_spec, a5_report):
     assert sups[2] < 0.6 * sups[0]
 
 
+
+def test_first_solution_projects_onto_binding_radius(a5_spec, a5_truncation, a5_pipeline):
+    # at half the free minimum's gradient energy the radius binds: steps
+    # that leave the ball are scaled back onto its sphere
+    r_star = 0.5 * a5_pipeline.first.H_value
+    state, flags, _ = ph.first_solution(a5_spec, a5_truncation, r_star, a5_pipeline.lam,
+                                        max_iter=50)
+    assert flags["projections"] > 0
+    assert state.H_value <= r_star
+    assert flags["boundary_pinned"]
+
 # ---------------------------------------------------------------------------
 # uphill endpoint
 
@@ -267,9 +278,10 @@ def test_uphill_requires_superlinearity(a5_spec, a5_truncation, a5_pipeline):
 def test_mountain_pass_one_dof_oracle():
     # J(u) = u^4 - 2u^2: minima at -1 and 1, crossing point 0 at level 0
     out = mountain_pass_path(
-        lambda u: float(u[0] ** 4 - 2.0 * u[0] ** 2),
+        lambda u: u[..., 0] ** 4 - 2.0 * u[..., 0] ** 2,
         lambda u: np.array([4.0 * u[0] ** 3 - 4.0 * u[0]]),
-        None, np.array([-1.0]), np.array([1.0]), n_path=41, tol=1e-8)
+        lambda u, rhs: rhs / (12.0 * u ** 2 - 4.0),
+        np.array([-1.0]), np.array([1.0]), n_path=41, tol=1e-8)
     assert out["converged"] and not out["collapsed"]
     assert abs(out["v"][0]) < 1e-3
     assert abs(out["level"]) < 1e-6
@@ -277,10 +289,20 @@ def test_mountain_pass_one_dof_oracle():
 
 def test_mountain_pass_convex_collapses():
     out = mountain_pass_path(
-        lambda u: float(u @ u),
+        lambda u: np.sum(u * u, axis=-1),
         lambda u: 2.0 * u,
-        None, np.zeros(5), np.ones(5), n_path=21, tol=1e-8)
+        lambda u, rhs: rhs / 2.0,
+        np.zeros(5), np.ones(5), n_path=21, tol=1e-8)
     assert out["collapsed"] and not out["converged"]
+
+
+def test_path_energies_in_one_call(a5_spec, a5_truncation, a5_pipeline):
+    # the 2-D evaluation of the path gives each state's energy bit for bit
+    ts = np.linspace(0.0, 1.0, 41)[:, None]
+    states = (1.0 - ts) * a5_pipeline.first.u.values + ts * a5_pipeline.uphill.values
+    parts = _j_parts(a5_spec, a5_truncation, states, a5_pipeline.lam)
+    single = np.array([_j_parts(a5_spec, a5_truncation, s, a5_pipeline.lam) for s in states])
+    assert np.array(parts).T.tobytes() == single.tobytes()
 
 
 def test_mountain_pass_two_distinct_solutions(a5_pipeline):
@@ -300,37 +322,36 @@ def test_mountain_pass_polishes_straight_path_crest(a5_pipeline):
     assert a5_pipeline.mp.outer_iterations == 1
 
 
+def test_mountain_pass_needs_second_derivative(a5_spec, a5_truncation, a5_pipeline):
+    from dataclasses import replace
+    phi = a5_spec.phi
+    bare = ph.YoungFunction(phi, phi.prime, t_hi=phi.t_hi, name="no-second")
+    with pytest.raises(ConstructionError, match="no-second: .*second derivative"):
+        ph.mountain_pass(replace(a5_spec, phi=bare), a5_truncation, a5_pipeline.first,
+                         a5_pipeline.uphill, a5_pipeline.lam)
+
+
 def test_mountain_pass_pathological_fine_grid():
-    # the coarse grid's saddle polishes to the solution; a path search that
-    # deforms the straight path's crest before polishing it collapses to the
-    # endpoint level at this grid size
+    # converges from the coarse grid's saddle; the straight path's first
+    # crest also polishes to this solution at this grid size
     res = ph.two_solution_pipeline(
         ph.builtin_example("pathological-reaction", n_interior=1023))
     assert res.mp.converged and not res.mp.collapsed and res.mp.coarse_start
     assert abs(res.mp.level / 166821.0 - 1.0) < 1e-3
 
 
-def _a5_at(n):
-    spec = ph.builtin_example("A5", n_interior=n)
+def _pipeline_at(n, example="A5"):
+    spec = ph.builtin_example(example, n_interior=n)
     return spec, ph.two_solution_pipeline(spec)
 
 
-def _rerun_mountain_pass(spec, res):
+def _rerun_mountain_pass(spec, res, r_star=True):
     return ph.mountain_pass(spec, ph.truncate_reaction(spec, res.sub), res.first,
-                            res.uphill, res.lam, r_star=res.admissibility.r_star)
+                            res.uphill, res.lam,
+                            r_star=res.admissibility.r_star if r_star else None)
 
 
-def test_mountain_pass_coarse_start_fine_grid():
-    spec, res = _a5_at(1023)
-    assert res.mp.converged and res.mp.coarse_start
-    assert abs(res.mp.level / 1.36104e8 - 1.0) < 1e-3
-    assert res.verify_second.max_residual < 1e-4
-
-
-def test_mountain_pass_coarse_start_solve_count(monkeypatch):
-    # polishes from the straight path's crests fail at this grid size and
-    # took 670 banded solves; the coarse chain and one fine polish take ~50
-    spec, res = _a5_at(2047)
+def _count_solves(monkeypatch):
     solve, calls = solver._banded_solve, []
 
     def counting(*args):
@@ -338,43 +359,90 @@ def test_mountain_pass_coarse_start_solve_count(monkeypatch):
         return solve(*args)
 
     monkeypatch.setattr(solver, "_banded_solve", counting)
+    return calls
+
+
+def test_mountain_pass_coarse_start_fine_grid():
+    spec, res = _pipeline_at(1023)
+    assert res.mp.converged and res.mp.coarse_start
+    assert abs(res.mp.level / 1.36104e8 - 1.0) < 1e-3
+    assert res.verify_second.max_residual < 1e-4
+
+
+def test_mountain_pass_coarse_start_solve_count(monkeypatch):
+    # the straight path's crest lies outside Newton's basin at this grid
+    # size; the coarse grid's saddle and one fine polish take ~50 solves
+    spec, res = _pipeline_at(2047)
+    calls = _count_solves(monkeypatch)
     mp = _rerun_mountain_pass(spec, res)
     assert mp.converged and mp.coarse_start
     assert len(calls) <= 60
 
 
-def _reject_polish(monkeypatch):
-    start = solver._coarse_start
+def test_mountain_pass_coarse_start_without_r_star(monkeypatch):
+    # the coarse start needs no radius: the library call without r_star
+    # takes it too
+    spec, res = _pipeline_at(1023)
+    calls = _count_solves(monkeypatch)
+    mp = _rerun_mountain_pass(spec, res, r_star=False)
+    assert mp.converged and mp.coarse_start and mp.outer_iterations == 1
+    assert len(calls) <= 40
+    assert abs(mp.level / res.mp.level - 1.0) < 1e-6
 
-    def rejected(*args):
-        out = start(*args)
-        out["converged"] = False
-        return out
 
-    monkeypatch.setattr(solver, "_coarse_start", rejected)
+@pytest.mark.parametrize("example", ["A4", "pathological-reaction"])
+def test_mountain_pass_solve_count_n255(example, monkeypatch):
+    # the coarse start samples the fine run's endpoints instead of solving
+    # the chain again on the coarse grid
+    spec, res = _pipeline_at(255, example)
+    calls = _count_solves(monkeypatch)
+    mp = _rerun_mountain_pass(spec, res)
+    assert mp.converged and mp.coarse_start
+    assert len(calls) <= 20
 
 
 def _stall_coarse_chain(monkeypatch):
-    # the fine run's uphill endpoint exists already, so only the coarse
-    # chain meets this
-    def stalled(*args, **kwargs):
-        raise SolverError("no energy drop")
+    # the pass on the coarse grid does not converge
+    path = solver.mountain_pass_path
 
-    monkeypatch.setattr(solver, "uphill_endpoint", stalled)
+    def failing(*args, **kwargs):
+        out = path(*args, **kwargs)
+        if args[3].size == solver.COARSE_N:
+            out["converged"] = False
+        return out
+
+    monkeypatch.setattr(solver, "mountain_pass_path", failing)
+
+
+def _reject_polish(monkeypatch):
+    # the fine polish of the coarse saddle, the first fine-grid polish, is
+    # rejected
+    accept, fine = solver._polish_accept, []
+
+    def rejecting(*args):
+        out = accept(*args)
+        if args[3].size > solver.COARSE_N and not fine:
+            fine.append(1)
+            out["converged"] = False
+        return out
+
+    monkeypatch.setattr(solver, "_polish_accept", rejecting)
 
 
 @pytest.fixture(scope="module")
 def a5_n255():
-    return _a5_at(255)
+    return _pipeline_at(255)
 
 
 @pytest.mark.parametrize("failure", [_reject_polish, _stall_coarse_chain])
 def test_mountain_pass_coarse_start_falls_back(a5_n255, monkeypatch, failure):
+    # the straight path's crest polishes at this grid size
     spec, res = a5_n255
     assert res.mp.coarse_start
     failure(monkeypatch)
     mp = _rerun_mountain_pass(spec, res)
     assert mp.converged and not mp.collapsed and not mp.coarse_start
+    assert mp.outer_iterations == 2
     assert abs(mp.level / res.mp.level - 1.0) < 1e-6
 
 

@@ -224,15 +224,16 @@ def _luxemburg_rows(psi: YoungFunction, vals: np.ndarray, weight: float) -> np.n
         raise EvalDomainError(f"{psi.name}: Luxemburg regula falsi left a bracket open "
                               f"after {LUXEMBURG_ITERS} rounds")
     norms = np.zeros(n)
-    norms[rows] = np.sqrt(a) * np.sqrt(b)
+    norms[rows] = b  # the feasible end: M(norm) <= 1
     return norms
 
 
 def luxemburg_of(psi: YoungFunction, values, weight: float):
     """inf{lam > 0 : sum psi(|v|/lam) weight <= 1} by safeguarded regula falsi.
 
-    The result is the geometric mean of a flip pair, two adjacent doubles
-    whose modulars straddle 1.  A 1-D array gives a float.  A 2-D array
+    The result is the upper end b of a flip pair, two adjacent doubles
+    a < b with M(a) > 1 >= M(b), so the norm is feasible.  A 1-D array
+    gives a float.  A 2-D array
     gives one norm per row: rows iterate in lockstep, LUXEMBURG_BLOCK
     elements at a time, and each row's norm is bit-identical to the norm
     of that row alone.  The input is not modified.

@@ -264,17 +264,18 @@ def critical_table():
 
 @pytest.mark.parametrize("generator", ["power", "pathological", "sobolev-conjugate"])
 def test_luxemburg_flip_pair(grid, pathological, critical_table, generator):
-    # each norm and one of its neighbouring doubles straddle M = 1, with the
-    # modular summed as the norm computation sums it
+    # each norm is feasible and its lower neighbouring double is not, with
+    # the modular summed as the norm computation sums it
     psi = {"power": ph.power_young(3.0), "pathological": pathological,
            "sobolev-conjugate": critical_table}[generator]
     rows = np.abs(_bracket_rows(grid))
     weight = 40.0 * grid.h
     norms = luxemburg_of(psi, rows, weight)
     for row, lam in zip(rows[1:], norms[1:]):
-        pair = np.array([np.nextafter(lam, 0.0), lam, np.nextafter(lam, np.inf)])
+        pair = np.array([np.nextafter(lam, 0.0), lam])
         m = np.sum(psi(row / pair[:, None]), axis=1) * weight
-        assert (m[0] > 1.0 >= m[1]) or (m[1] > 1.0 >= m[2])
+        assert m[0] > 1.0 >= m[1]
+        assert modular_of(psi, row / lam, weight) <= 1.0
 
 
 def test_luxemburg_leaves_input_unchanged(pathological):

@@ -13,7 +13,7 @@ from hypothesis.extra.numpy import arrays
 
 import philap as ph
 from philap.cli import main
-from philap.orlicz import luxemburg_of
+from philap.orlicz import luxemburg_of, modular_of
 from philap.problems import _ALLOWED_KEYS
 
 # derandomized and without an example database, so that every run draws
@@ -55,8 +55,8 @@ def test_luxemburg_rows_equal_single_calls(values, log_scale, weight, generator)
 @example(values=np.array([5e-324]), log_scale=0, weight=1e-3, generator="power")
 @example(values=np.array([0.0, 3e-323]), log_scale=0, weight=0.5, generator="power")
 def test_luxemburg_flip_pair(values, log_scale, weight, generator):
-    # the norm and one of its neighbouring doubles straddle M = 1, with the
-    # modular summed as the norm computation sums it
+    # the norm is feasible and its lower neighbouring double is not, with
+    # the modular summed as the norm computation sums it
     psi = ph.power_young(3.0) if generator == "power" else ph.log_power_young(3.0)
     row = values * 10.0 ** log_scale
     lam = luxemburg_of(psi, row, weight)
@@ -64,10 +64,10 @@ def test_luxemburg_flip_pair(values, log_scale, weight, generator):
         # the bracket vanished: M <= 1 down to the smallest positive double
         assert np.sum(psi(row / 5e-324)) * weight <= 1.0
         return
-    # below the smallest positive double the lower neighbour is lam itself
-    pair = np.array([np.nextafter(lam, 0.0) or lam, lam, np.nextafter(lam, np.inf)])
+    pair = np.array([np.nextafter(lam, 0.0), lam])
     m = np.sum(psi(row / pair[:, None]), axis=1) * weight
-    assert (m[0] > 1.0 >= m[1]) or (m[1] > 1.0 >= m[2])
+    assert m[0] > 1.0 >= m[1]
+    assert modular_of(psi, row / lam, weight) <= 1.0
 
 
 _KEYS = sorted(f"{section}.{key}" for section, keys in _ALLOWED_KEYS.items() for key in keys)

@@ -76,7 +76,10 @@ def _phi_odd(phi: YoungFunction, g: np.ndarray) -> np.ndarray:
 
 def _slopes(grid: Grid, u: np.ndarray) -> np.ndarray:
     """Cell slopes of a state (or of each row) with zero boundary values."""
-    return np.diff(u, prepend=0.0, append=0.0) / grid.h
+    d = np.zeros(u.shape[:-1] + (u.shape[-1] + 1,))
+    d[..., :-1] = u
+    d[..., 1:] -= u
+    return d / grid.h
 
 
 def _grad_energy(phi: YoungFunction, grid: Grid, u: np.ndarray):
@@ -549,9 +552,9 @@ def _coarse_start(spec: ProblemSpec, trunc: TruncatedReaction, lam: float,
     None when the coarse pass fails."""
     cgrid = Grid(COARSE_N, spec.grid.length)
     try:
-        # the truncation constants only feed the threshold: keep this run's
         csub = replace(trunc.sub,
                        u_under=GridFunction(cgrid, _resample(trunc.ub, spec.grid, cgrid)))
+        # the truncation constants only feed the threshold: keep this run's
         ctrunc = TruncatedReaction(reaction=trunc.reaction, sub=csub,
                                    constants=trunc.constants)
         cmp = mountain_pass_path(*_energy_fns(replace(spec, grid=cgrid), ctrunc, lam),

@@ -240,7 +240,6 @@ def test_first_solution_small_lambda_continuation(a5_spec, a5_report):
     assert sups[2] < 0.6 * sups[0]
 
 
-
 def test_first_solution_projects_onto_binding_radius(a5_spec, a5_truncation, a5_pipeline):
     # at half the free minimum's gradient energy the radius binds: steps
     # that leave the ball are scaled back onto its sphere
@@ -250,6 +249,7 @@ def test_first_solution_projects_onto_binding_radius(a5_spec, a5_truncation, a5_
     assert flags["projections"] > 0
     assert state.H_value <= r_star
     assert flags["boundary_pinned"]
+
 
 # ---------------------------------------------------------------------------
 # uphill endpoint
@@ -371,7 +371,7 @@ def test_mountain_pass_coarse_start_fine_grid():
 
 def test_mountain_pass_coarse_start_solve_count(monkeypatch):
     # the straight path's crest lies outside Newton's basin at this grid
-    # size; the coarse grid's saddle and one fine polish take ~50 solves
+    # size; the coarse grid's saddle and one fine polish take ~35 solves
     spec, res = _pipeline_at(2047)
     calls = _count_solves(monkeypatch)
     mp = _rerun_mountain_pass(spec, res)

@@ -16,7 +16,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import ConstructionError, EvalDomainError
-from .young import YoungFunction
+from .young import YoungFunction, _regula_falsi
 
 __all__ = [
     "Grid",
@@ -33,12 +33,9 @@ __all__ = [
     "write_table",
 ]
 
-# rounds of regula falsi per Luxemburg bracket.  A row whose log bracket
-# is wider than log(2) * 2**(-(j - 2) / 2) after j rounds bisects next, so
-# past two free rounds it halves at least every other round; adjacent
-# normal doubles lie at most 2**-52 apart in log, so a row closes within
-# 2 + 2 * 52 = 106 rounds, as many as a modular that makes every secant
-# step crawl by one ulp takes.  The benchmark workloads' rows close in 2-11.
+# rounds of regula falsi per Luxemburg bracket: by young.ROOT_RTOL_ITERS's
+# bound a bracket of log width log 2 closes within 3 + 2 * (52 - 0.53) < 106
+# rounds.  The benchmark workloads' rows close in 2-11.
 LUXEMBURG_ITERS = 110
 # elements per lockstep Luxemburg block (128 KiB of float64): the 32
 # trial rows of the embedding estimate at 2048 cells close faster in blocks
@@ -132,14 +129,10 @@ def _luxemburg_rows(psi: YoungFunction, vals: np.ndarray, weight: float) -> np.n
 
     The modular M(lam) = sum psi(v/lam) weight falls with lam almost as a
     power law (its log-log slope lies between minus the growth indices),
-    so each row brackets M = 1 between probes a factor 2 apart and then
-    closes the bracket by Illinois regula falsi on (log lam, log M)
-    (Dowell & Jarratt, BIT 11, 1971).  A row whose log bracket falls behind
-    half the pace of bisection takes a geometric midpoint instead, which
-    bounds it by LUXEMBURG_ITERS rounds.  Every trial lies at least one ulp
-    inside the bracket, and a row stops at a flip pair: adjacent doubles
-    a < b with M(a) > 1 >= M(b).  Every row takes exactly the path it takes
-    alone; one psi call per round serves all rows that are still open.
+    so each row brackets M = 1 between probes a factor 2 apart, closed by
+    young._regula_falsi on (log lam, log M) to a flip pair a < b with
+    M(a) > 1 >= M(b).  Every row takes exactly the path it takes alone;
+    one psi call per round serves all rows that are still open.
     """
     n = vals.shape[0]
     vmax = vals.max(axis=1, initial=0.0)
@@ -186,57 +179,22 @@ def _luxemburg_rows(psi: YoungFunction, vals: np.ndarray, weight: float) -> np.n
         raise EvalDomainError(f"{psi.name}: Luxemburg bracket expansion failed downward "
                               f"after 400 halvings")
 
-    rows = np.flatnonzero(live)
-    a, b, block = a[rows], b[rows], vals[rows]
-    with np.errstate(divide="ignore"):
-        fa, fb = np.log(ma[rows]), np.log(mb[rows])  # > 0 at a, <= 0 at b
-    side = np.zeros(rows.size, dtype=np.int8)  # end replaced last round: -1 a, +1 b
-    bisect = np.zeros(rows.size, dtype=bool)
-    for j in range(1, LUXEMBURG_ITERS + 1):
-        k = np.flatnonzero(np.nextafter(a, np.inf) < b)
-        if not k.size:
-            break
-        ak, bk, fak, fbk = a[k], b[k], fa[k], fb[k]
-        width = np.log1p((bk - ak) / ak)  # log(b / a) without cancellation
-        with np.errstate(invalid="ignore", over="ignore"):
-            lam = ak + ak * np.expm1(fak / (fak - fbk) * width)
-        # an infinite log modular (M overflowed or vanished) gives no secant
-        geo = bisect[k] | ~np.isfinite(fak - fbk) | ~np.isfinite(lam)
-        lam[geo] = np.sqrt(ak[geo]) * np.sqrt(bk[geo])  # a * b under- or overflows
-        lam = np.minimum(np.maximum(lam, np.nextafter(ak, np.inf)), np.nextafter(bk, 0.0))
-        m = modular_rows(block[k], lam)
-        high = m > 1.0
-        with np.errstate(divide="ignore"):
-            f = np.log(m)
-        hk, lk = k[high], k[~high]
-        a[hk], fa[hk] = lam[high], f[high]
-        b[lk], fb[lk] = lam[~high], f[~high]
-        # Illinois: an end kept for a second round running has its log
-        # modular halved, so that the next secant crosses the root
-        fb[hk[side[hk] == -1]] *= 0.5
-        fa[lk[side[lk] == 1]] *= 0.5
-        side[k] = np.where(high, -1, 1)
-        # safeguard: a row whose log bracket lags half the pace of bisection
-        # from log 2 (after two free rounds) bisects in the next round; all
-        # rows start together, so round j is every open row's j-th
-        bisect[k] = np.log1p((b[k] - a[k]) / a[k]) > math.log(2.0) * 0.5 ** ((j - 2) / 2)
-    if np.any(np.nextafter(a, np.inf) < b):
-        raise EvalDomainError(f"{psi.name}: Luxemburg regula falsi left a bracket open "
-                              f"after {LUXEMBURG_ITERS} rounds")
-    norms = np.zeros(n)
-    norms[rows] = b  # the feasible end: M(norm) <= 1
+    rows, norms = np.flatnonzero(live), np.zeros(n)
+    with np.errstate(divide="ignore"):  # log M is -inf where M vanishes
+        norms[rows] = _regula_falsi(  # b, the feasible end: M(norm) <= 1
+            lambda k, lam: np.log(modular_rows(vals[rows[k]], lam)),
+            a[rows], b[rows], np.log(ma[rows]), np.log(mb[rows]),
+            LUXEMBURG_ITERS, f"{psi.name}: Luxemburg regula falsi")
     return norms
 
 
 def luxemburg_of(psi: YoungFunction, values, weight: float):
-    """inf{lam > 0 : sum psi(|v|/lam) weight <= 1} by safeguarded regula falsi.
-
-    The result is the upper end b of a flip pair, two adjacent doubles
-    a < b with M(a) > 1 >= M(b), so the norm is feasible.  A 1-D array
-    gives a float.  A 2-D array
-    gives one norm per row: rows iterate in lockstep, LUXEMBURG_BLOCK
-    elements at a time, and each row's norm is bit-identical to the norm
-    of that row alone.  The input is not modified.
+    """inf{lam > 0 : sum psi(|v|/lam) weight <= 1}, closed by the secant the
+    root finder uses (young._regula_falsi), so the norm is the upper end b
+    of a flip pair a < b with M(a) > 1 >= M(b) and is feasible.  A 1-D array
+    gives a float.  A 2-D array gives one norm per row: rows iterate in
+    lockstep, LUXEMBURG_BLOCK elements at a time, and each row's norm is
+    bit-identical to the norm of that row alone.  The input is not modified.
     """
     vals = np.abs(np.asarray(values, dtype=float))
     if vals.ndim <= 1:

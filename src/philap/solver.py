@@ -547,9 +547,9 @@ def _coarse_start(spec: ProblemSpec, trunc: TruncatedReaction, lam: float,
                   u0: np.ndarray, u1: np.ndarray, n_path: int, tol: float,
                   end_max: float):
     """The endpoints and the sub-solution sampled onto the COARSE_N grid,
-    the crest found and polished there, and that saddle interpolated back
-    onto spec's nodes and polished once; a mountain_pass_path result, or
-    None when the coarse pass fails."""
+    the crest found and polished there, even short of tol, and that saddle
+    interpolated back onto spec's nodes and polished once; a
+    mountain_pass_path result, or None when the coarse pass fails or collapses."""
     cgrid = Grid(COARSE_N, spec.grid.length)
     try:
         csub = replace(trunc.sub,
@@ -560,7 +560,7 @@ def _coarse_start(spec: ProblemSpec, trunc: TruncatedReaction, lam: float,
         cmp = mountain_pass_path(*_energy_fns(replace(spec, grid=cgrid), ctrunc, lam),
                                  _resample(u0, spec.grid, cgrid),
                                  _resample(u1, spec.grid, cgrid), n_path=n_path, tol=tol)
-        if not cmp["converged"]:
+        if cmp["collapsed"]:
             return None
         out = _polish_accept(*_energy_fns(spec, trunc, lam),
                              _resample(cmp["v"], cgrid, spec.grid), tol, end_max)
@@ -588,7 +588,8 @@ def mountain_pass(spec: ProblemSpec, trunc: TruncatedReaction,
     mountain_pass_path's rule; coarse_start is then set, and path_energies
     are the coarse path's.  Otherwise the crest of the straight path from
     the first solution to the uphill endpoint u1 is polished once, and the
-    pass fails (converged False) when that polish is not accepted.
+    pass fails (converged False) when that polish is not accepted; a coarse
+    saddle polished above the endpoints is then kept, with coarse_start set.
     max_outer is unused and kept for callers; r_star, when given, only
     feeds the separation check.
     """
@@ -612,14 +613,17 @@ def mountain_pass(spec: ProblemSpec, trunc: TruncatedReaction,
     if grid.n_interior > COARSE_N:
         end_max = max(fns[0](u0v), fns[0](u1v))
         out = _coarse_start(spec, trunc, lam, u0v, u1v, n_path, tol, end_max)
-    coarse_start = out is not None and out["converged"]
-    if not coarse_start:
+    coarse_start = out is not None
+    if out is None or not out["converged"]:
         path = mountain_pass_path(*fns, u0v, u1v, n_path=n_path, tol=tol)
-        if grid.n_interior > COARSE_N:
-            path["outer_iterations"] = 2
         if out is not None:
             path["polish_residual"] = min(out["polish_residual"], path["polish_residual"])
-        out = path
+            out["polish_residual"] = path["polish_residual"]
+            coarse_start = not (path["converged"] or out["collapsed"])
+        if not coarse_start:
+            out = path
+        if grid.n_interior > COARSE_N:
+            out["outer_iterations"] = 2
     state = energy_and_gradient(spec, trunc, GridFunction(grid, out.pop("v")), lam)
     return MountainPassResult(state=state, separation_ok=separation_ok,
                               coarse_start=coarse_start, **out)

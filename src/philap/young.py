@@ -1,9 +1,10 @@
 """Numeric calculus of Young functions.
 
-Evaluation with domain guards, growth indices by log-grid sampling,
-Young (Legendre) conjugation, the critical-growth Sobolev conjugate,
-growth ordering, and an oscillating generator with distinct lower and
-upper indices at infinity.
+Evaluation with domain guards, inverses by one grid-bracketed
+safeguarded secant (shared with the Luxemburg norm), growth indices by
+log-grid sampling, Young (Legendre) conjugation, the critical-growth
+Sobolev conjugate, growth ordering, and an oscillating generator with
+distinct lower and upper indices at infinity.
 """
 
 from __future__ import annotations
@@ -61,9 +62,14 @@ EVAL_HI_DEFAULT = 1e30
 INDEX_GRID_LO = 1e-4
 INDEX_GRID_HI = 1e6
 INDEX_GRID_POINTS = 2000
-# geometric bisection halves the log bracket; 90 iterations resolve any
-# bracket inside [1e-60, 1e60] far below the 1e-10 relative target
-ROOT_RTOL_ITERS = 90
+# rounds of regula falsi per root bracket.  A row whose log bracket is wider
+# than w0 * 2**(-(j - 2) / 2) after j rounds, w0 its first width, bisects
+# next, so it is at most w0 * 2**(-(j - 3) / 2) wide; one narrower than
+# 2**-52 is a flip pair.  A cell of the ROOT_GRID-point grid over any range
+# of positive doubles has w0 < log(2**2098) / 128 < 2**3.51, so it closes
+# within 3 + 2 * (52 + 3.51) < 115 rounds; the rest is room for rounding.
+ROOT_RTOL_ITERS = 120
+ROOT_GRID = 129  # points of the log grid that brackets each target in one cell
 
 
 def log_grid(lo: float, hi: float, n: int) -> np.ndarray:
@@ -73,24 +79,83 @@ def log_grid(lo: float, hi: float, n: int) -> np.ndarray:
     return np.geomspace(lo, hi, n)
 
 
-def _solve_increasing(fn, target, lo, hi, iters: int = ROOT_RTOL_ITERS) -> np.ndarray:
-    """Geometric bisection for fn(s) = target with fn increasing on [lo, hi].
+def _regula_falsi(f, a, b, fa, fb, iters: int, name: str) -> np.ndarray:
+    """Close brackets 0 < a < b with fa > 0 >= fb to flip pairs (adjacent
+    doubles) in lockstep; f(k, x) is the bracket function of rows k at x,
+    near linear in log x.  Illinois regula falsi on (log x, f) (Dowell &
+    Jarratt, BIT 11, 1971) steps from the end of smaller |f|: from the far
+    end a wide bracket magnifies rounding.  A row whose log bracket lags
+    half the pace of bisection from its first width (after two free
+    rounds), or whose f is infinite, takes the geometric midpoint.  Trials
+    lie an ulp inside the bracket, and each row takes the path it takes
+    alone.  Updates the arrays in place and returns b; a bracket still open
+    after iters rounds raises EvalDomainError naming name."""
+    w0 = np.log1p((b - a) / a)  # log(b / a) without cancellation
+    side = np.zeros(a.size, dtype=np.int8)  # end replaced last round: -1 a, +1 b
+    bisect = np.zeros(a.size, dtype=bool)
+    for j in range(iters + 1):
+        k = np.flatnonzero(np.nextafter(a, np.inf) < b)
+        if not k.size:
+            return b
+        if j == iters:
+            raise EvalDomainError(f"{name} left a bracket open after {iters} rounds")
+        ak, bk, fak, fbk = a[k], b[k], fa[k], fb[k]
+        near_a = np.abs(fak) <= np.abs(fbk)
+        x0 = np.where(near_a, ak, bk)
+        with np.errstate(invalid="ignore", over="ignore"):
+            x = x0 + x0 * np.expm1(np.where(near_a, fak, fbk) / (fak - fbk)
+                                   * np.log1p((bk - ak) / ak))
+        geo = bisect[k] | ~np.isfinite(fak - fbk) | ~np.isfinite(x)
+        x[geo] = np.sqrt(ak[geo]) * np.sqrt(bk[geo])  # a * b under- or overflows
+        x = np.minimum(np.maximum(x, np.nextafter(ak, np.inf)), np.nextafter(bk, 0.0))
+        fx = f(k, x)
+        high = fx > 0.0
+        hk, lk = k[high], k[~high]
+        a[hk], fa[hk] = x[high], fx[high]
+        b[lk], fb[lk] = x[~high], fx[~high]
+        # Illinois: halving the kept end's f makes the next secant cross
+        fb[hk[side[hk] == -1]] *= 0.5
+        fa[lk[side[lk] == 1]] *= 0.5
+        side[k] = np.where(high, -1, 1)
+        # all rows start together, so round j + 1 is every open row's (j + 1)-th
+        bisect[k] = np.log1p((b[k] - a[k]) / a[k]) > w0[k] * 0.5 ** ((j - 1) / 2)
 
-    Vectorized over `target`; fn must accept arrays and act elementwise.
-    Stops early once no bracket moves in a round: the next round would
-    repeat it, so the result is that of all `iters` rounds.
-    """
+
+def _values_or_inf(fn, x: np.ndarray) -> np.ndarray:
+    """fn on an increasing grid, +inf from the first point where it fails:
+    an increasing function can overflow below its trusted bound."""
+    vals, ok, bad = np.full(x.size, np.inf), 0, x.size + 1  # fn works on x[:ok], not x[:bad]
+    while bad - ok > 1:
+        mid = x.size if bad > x.size else (ok + bad) // 2
+        try:
+            vals[ok:mid], ok = fn(x[ok:mid]), mid
+        except EvalDomainError:
+            if mid == 1:
+                raise
+            bad = mid
+    return vals
+
+
+def _solve_increasing(fn, target, lo, hi, iters: int = ROOT_RTOL_ITERS,
+                      name: str = "root finder") -> np.ndarray:
+    """Smallest double s in [lo, hi] with fn(s) >= target, fn increasing and
+    elementwise, vectorized over target.  One fn call on a ROOT_GRID-point
+    log grid gives each target t a cell with fn(a) < t <= fn(b), closed by
+    _regula_falsi on (log s, log(t / fn(s))).  A target at or below fn(lo)
+    gives lo, one above fn(hi) gives hi."""
     t = np.atleast_1d(np.asarray(target, dtype=float))
-    a = np.full(t.shape, float(lo))
-    b = np.full(t.shape, float(hi))
-    for _ in range(iters):
-        mid = np.sqrt(a) * np.sqrt(b)  # a * b under- or overflows
-        high = fn(mid) >= t
-        if np.all(np.where(high, b, a) == mid):
-            break
-        np.copyto(b, mid, where=high)
-        np.copyto(a, mid, where=~high)
-    return np.sqrt(a) * np.sqrt(b)
+    grid = np.geomspace(lo, hi, ROOT_GRID)
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        # clipped at 0 and made monotone, the samples bracket every positive t
+        vals = np.maximum.accumulate(np.maximum(_values_or_inf(fn, grid), 0.0))
+        i = np.searchsorted(vals, t)
+        s = np.where(i == 0, float(lo), float(hi))
+        rows = np.flatnonzero((i > 0) & (i < ROOT_GRID))
+        tr, ir = t[rows], i[rows]
+        s[rows] = _regula_falsi(lambda k, x: np.log(tr[k] / np.maximum(fn(x), 0.0)),
+                                grid[ir - 1], grid[ir], np.log(tr / vals[ir - 1]),
+                                np.log(tr / vals[ir]), iters, f"{name}: regula falsi")
+    return s
 
 
 @dataclass(frozen=True)
@@ -145,36 +210,32 @@ class YoungFunction:
     def cache_indices(self, pair: IndexPair) -> None:
         self._indices = pair
 
-    def _check(self, t) -> np.ndarray:
+    def _apply(self, fn, t):
         arr = np.asarray(t, dtype=float)
         flat = np.atleast_1d(arr)
-        if flat.size:
-            if not np.all(np.isfinite(flat)) or np.any(flat < 0.0):
+        # one min and one max pass clear the argument and the result: NaN
+        # propagates into both and fails every comparison; inf or an
+        # infinite t_hi takes the full check
+        mn, mx = flat.min(initial=math.inf), flat.max(initial=0.0)
+        if not (mn >= 0.0 and mx <= self.t_hi < math.inf):
+            if not np.all(np.isfinite(flat)) or mn < 0.0:
                 raise EvalDomainError(f"{self.name}: argument outside [0, inf)")
-            mx = float(flat.max())
             if mx > self.t_hi:
                 raise EvalDomainError(
                     f"{self.name}: argument {mx:.6g} above trusted range {self.t_hi:.3g}")
-        return arr
-
-    def _apply(self, fn, t):
-        arr = self._check(t)
-        scalar = arr.ndim == 0
-        flat = np.atleast_1d(arr)
-        pos = flat > 0.0
         with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-            if pos.all():
+            if mn > 0.0:
                 # no masked copies in the common all-positive case: large
                 # temporaries cost the allocator fresh pages
                 out = np.asarray(fn(flat), dtype=float)
             else:
+                pos = flat > 0.0
                 out = np.zeros_like(flat)
                 if pos.any():
                     out[pos] = fn(flat[pos])
-        if not np.all(np.isfinite(out)):
+        if out.size and not (math.isfinite(out.min()) and math.isfinite(out.max())):
             raise EvalDomainError(f"{self.name}: non-finite value inside domain")
-        out = out.reshape(arr.shape) if not scalar else out
-        return float(out[0]) if scalar else out
+        return float(out[0]) if arr.ndim == 0 else out.reshape(arr.shape)
 
     def __call__(self, t):
         return self._apply(self._value, t)
@@ -287,7 +348,7 @@ def young_conjugate(psi: YoungFunction) -> YoungFunction:
             raise OutOfRangeError(
                 f"conj({psi.name}): maximizer escapes [{lo:.1e}, {hi:.1e}] "
                 f"for t={bad[:3]!r}")
-        s = _solve_increasing(psi.prime, t, lo, hi)
+        s = _solve_increasing(psi.prime, t, lo, hi, name=f"conj({psi.name})")
         consistent = np.abs(psi.prime(s) - t) <= 1e-6 * np.maximum(t, 1e-300)
         if not consistent.all():
             raise OutOfRangeError(
@@ -306,7 +367,7 @@ def young_conjugate(psi: YoungFunction) -> YoungFunction:
 
 def inverse_value(psi: YoungFunction, y) -> np.ndarray:
     """psi^{-1}(y) by monotone root-find on the value."""
-    return _solve_increasing(psi, y, psi.t_lo, psi.t_hi)
+    return _solve_increasing(psi, y, psi.t_lo, psi.t_hi, name=f"inverse_value({psi.name})")
 
 
 def conjugate_inverse(psi: YoungFunction, y) -> np.ndarray:
@@ -318,7 +379,7 @@ def conjugate_inverse(psi: YoungFunction, y) -> np.ndarray:
     """
     def pivot(s):
         return s * psi.prime(s) - psi(s)
-    s_star = _solve_increasing(pivot, y, psi.t_lo, psi.t_hi)
+    s_star = _solve_increasing(pivot, y, psi.t_lo, psi.t_hi, name=f"conjugate_inverse({psi.name})")
     return psi.prime(s_star)
 
 

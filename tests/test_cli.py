@@ -154,6 +154,24 @@ def test_mountain_pass_determinism(a5_config, tmp_path, capsys):
         assert (out1 / name).read_bytes() == (out2 / name).read_bytes(), name
 
 
+def test_mountain_pass_tolerance_below_polish_floor(tmp_path, capsys):
+    # the coarse saddle seeds the fine polish even though the coarse pass
+    # misses the tolerance, so the pass fails at the fine polish floor above
+    # the endpoints instead of collapsing from the straight path's crest
+    config = Path(__file__).resolve().parents[1] / "configs" / "two_solutions.ini"
+    code = main(["mountain-pass", "--config", str(config),
+                 "--override", "solver.tol_mountain=1e-12",
+                 "--override", "grid.n_interior=1023", "--out", str(tmp_path / "o")])
+    captured = capsys.readouterr()
+    assert code == 1
+    line = next(x for x in captured.out.splitlines() if x.startswith("mountain pass:"))
+    fields = dict(item.split("=") for item in line.split()[2:])
+    assert fields["converged"] == "False" and fields["collapsed"] == "False"
+    assert float(fields["level"]) == pytest.approx(1.361e8, rel=1e-3)
+    assert float(fields["residual"]) < 1e-5
+    assert "error: mountain pass did not reach solver.tol_mountain=1e-12" in captured.err
+
+
 def test_manifest_records_seed_and_tolerances(a5_config, tmp_path):
     out = tmp_path / "o"
     main(["check", "--config", str(a5_config), "--out", str(out)])

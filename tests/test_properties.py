@@ -1,5 +1,5 @@
 """Property tests: Young's inequality, lockstep Luxemburg norms and their flip
-pairs, config fuzzing."""
+pairs, flip pairs of the root finder, config fuzzing."""
 
 import contextlib
 import io
@@ -7,11 +7,13 @@ import tempfile
 from pathlib import Path
 
 import numpy as np
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 import philap as ph
+from philap import young
 from philap.cli import main
 from philap.orlicz import luxemburg_of, modular_of
 from philap.problems import _ALLOWED_KEYS
@@ -68,6 +70,50 @@ def test_luxemburg_flip_pair(values, log_scale, weight, generator):
     m = np.sum(psi(row / pair[:, None]), axis=1) * weight
     assert m[0] > 1.0 >= m[1]
     assert modular_of(psi, row / lam, weight) <= 1.0
+
+
+GENERATORS = {
+    "power": ph.power_young(3.0),
+    "log-power": ph.log_power_young(3.0),
+    "pathological": ph.build_pathological(ph.PathologicalParams.make(3.0, 2.0, 1.9)),
+}
+# each caller of the root finder with the function whose values it inverts
+ROOT_CALLERS = {
+    "inverse_value": (lambda psi, x: psi(x), ph.inverse_value),
+    "conjugate_inverse": (lambda psi, x: x * psi.prime(x) - psi(x), ph.conjugate_inverse),
+    "conj": (lambda psi, x: psi.prime(x), lambda psi, t: ph.young_conjugate(psi).prime(t)),
+}
+
+
+@pytest.mark.parametrize("caller", sorted(ROOT_CALLERS))
+@pytest.mark.parametrize("generator", sorted(GENERATORS))
+@settings(FIXED, max_examples=8)
+@given(u=st.lists(st.floats(0.0, 0.999), min_size=1, max_size=8))
+def test_root_finder_flip_pair(generator, caller, u):
+    # each root s the callers find and its lower neighbouring double
+    # straddle the target: fn(prev(s)) < t <= fn(s), for fn as called; the
+    # targets are values of fn, so some fall on its plateaus of equal values;
+    # u stays below 1, where the conjugate's trusted range ends
+    psi = GENERATORS[generator]
+    image, call = ROOT_CALLERS[caller]
+    targets = image(psi, psi.t_lo * (psi.t_hi / psi.t_lo) ** np.array(u))
+    solves = []
+    solve = young._solve_increasing
+
+    def record(fn, target, lo, hi, *args, **kwargs):
+        s = solve(fn, target, lo, hi, *args, **kwargs)
+        solves.append((fn, np.atleast_1d(target), s, lo))
+        return s
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(young, "_solve_increasing", record)
+        call(psi, targets)
+    assert solves
+    for fn, t, s, lo in solves:
+        inside = t > fn(np.array([lo]))
+        assert np.all(s[~inside] == lo)
+        assert np.all(fn(np.nextafter(s[inside], 0.0)) < t[inside])
+        assert np.all(t <= fn(s))
 
 
 _KEYS = sorted(f"{section}.{key}" for section, keys in _ALLOWED_KEYS.items() for key in keys)

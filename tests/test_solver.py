@@ -402,13 +402,13 @@ def test_mountain_pass_solve_count_n255(example, monkeypatch):
 
 
 def _stall_coarse_chain(monkeypatch):
-    # the pass on the coarse grid does not converge
+    # the pass on the coarse grid collapses
     path = solver.mountain_pass_path
 
     def failing(*args, **kwargs):
         out = path(*args, **kwargs)
         if args[3].size == solver.COARSE_N:
-            out["converged"] = False
+            out["converged"], out["collapsed"] = False, True
         return out
 
     monkeypatch.setattr(solver, "mountain_pass_path", failing)

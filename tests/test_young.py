@@ -1,6 +1,7 @@
 """Young-function calculus: indices, conjugates, ordering, oscillating generator."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -357,7 +358,7 @@ def test_critical_tables_are_root_free(generator, N, pathological, monkeypatch):
 
 
 def _bisect_all_rounds(fn, target, lo, hi):
-    """_solve_increasing without the early stop."""
+    """Geometric bisection of [lo, hi] without an early stop."""
     t = np.atleast_1d(np.asarray(target, dtype=float))
     a, b = np.full(t.shape, float(lo)), np.full(t.shape, float(hi))
     for _ in range(young.ROOT_RTOL_ITERS):
@@ -370,22 +371,63 @@ def _bisect_all_rounds(fn, target, lo, hi):
 
 @pytest.mark.parametrize("generator", ["power", "log-power", "pathological"])
 def test_solve_increasing_stops_at_fixed_point(generator, pathological):
+    # the iteration stops at a flip pair whose upper end is the root, a few
+    # ulps from bisection's; the grid call plus the regula falsi rounds stay
+    # well below the 60-odd rounds bisection takes
     psi = {"power": ph.power_young(3.0), "log-power": ph.log_power_young(3.0),
            "pathological": pathological}[generator]
-    rounds = []
+    calls = []
 
     def counted(fn):
         def wrapped(s):
-            rounds.append(1)
+            calls.append(1)
             return fn(s)
         return wrapped
 
     targets = np.concatenate([np.logspace(-20, 20, 41), [float(psi(1.0)), 7.3]])
     for fn in (psi, psi.prime):
-        rounds.clear()
+        calls.clear()
         got = young._solve_increasing(counted(fn), targets, psi.t_lo, psi.t_hi)
-        assert got.tobytes() == _bisect_all_rounds(fn, targets, psi.t_lo, psi.t_hi).tobytes()
-        assert len(rounds) < young.ROOT_RTOL_ITERS
+        assert len(calls) <= 30
+        inside = targets > fn(psi.t_lo)
+        assert np.all(got[~inside] == psi.t_lo)
+        assert np.all(fn(np.nextafter(got[inside], 0.0)) < targets[inside])
+        assert np.all(targets <= fn(got))
+        ref = _bisect_all_rounds(fn, targets, psi.t_lo, psi.t_hi)
+        assert np.all(np.abs(got - ref) <= 4 * np.spacing(ref))
+
+
+@pytest.mark.parametrize("caller", ["inverse_value", "conjugate_inverse", "conj"])
+def test_root_budget_names_the_caller(caller, pathological, monkeypatch):
+    # a bracket still open when the budget runs out raises instead of
+    # returning the bracket
+    solve = young._solve_increasing
+
+    def short(fn, target, lo, hi, iters=young.ROOT_RTOL_ITERS, **kwargs):
+        return solve(fn, target, lo, hi, 2, **kwargs)
+
+    monkeypatch.setattr(young, "_solve_increasing", short)
+    targets = np.array([7.3, 123.4])
+    call = {"inverse_value": lambda: ph.inverse_value(pathological, targets),
+            "conjugate_inverse": lambda: ph.conjugate_inverse(pathological, targets),
+            "conj": lambda: ph.young_conjugate(pathological).prime(targets)}[caller]
+    with pytest.raises(EvalDomainError,
+                       match=re.escape(f"{caller}({pathological.name}): regula falsi left a "
+                                       f"bracket open after 2 rounds")):
+        call()
+
+
+def test_solve_increasing_limits_and_overflow():
+    # targets outside the range of fn on [lo, hi] give the ends; a function
+    # that overflows below the top of its trusted range brackets below it
+    cube = ph.power_young(3.0)
+    got = young._solve_increasing(cube, [0.0, cube(cube.t_lo), 8.0, 2e90, np.inf],
+                                  cube.t_lo, cube.t_hi)
+    assert got.tolist() == [cube.t_lo, cube.t_lo, 2.0, cube.t_hi, cube.t_hi]
+    psi = ph.power_young(13.0)
+    targets = np.array([1e-300, 8.0, 1e300])
+    got = young._solve_increasing(psi, targets, psi.t_lo, psi.t_hi)
+    assert np.all(psi(np.nextafter(got, 0.0)) < targets) and np.all(targets <= psi(got))
 
 
 # ---------------------------------------------------------------------------
@@ -479,6 +521,46 @@ def test_eval_domain_guard():
         psi(-1.0)
     assert psi(0.0) == 0.0
     assert psi.prime(0.0) == 0.0
+
+
+def _full_check(psi, t):
+    """The message of the full argument check on t, or None when t passes."""
+    flat = np.atleast_1d(np.asarray(t, dtype=float))
+    if flat.size and (not np.all(np.isfinite(flat)) or np.any(flat < 0.0)):
+        return f"{psi.name}: argument outside [0, inf)"
+    if flat.size and flat.max() > psi.t_hi:
+        return f"{psi.name}: argument {float(flat.max()):.6g} above trusted range {psi.t_hi:.3g}"
+    return None
+
+
+@pytest.mark.parametrize("t_hi", [1e30, math.inf])
+@pytest.mark.parametrize("t", [
+    [1.0, np.nan], [np.nan, 1.0], [2.0, np.inf], [-np.inf, 1.0], [3.0, -1e-300],
+    [1.0, 5e30], np.float64(-2.0), np.float64(np.nan), np.float64(7e30), np.float64(0.5),
+    np.zeros(0), np.zeros((0, 3)), [[0.0, 1.0], [2.0, 3.0]], np.float64(0.0)])
+def test_lean_guard_matches_full_check(t, t_hi):
+    # the min/max pre-test raises the same error as the full check on the
+    # same input, and passes what the full check passes
+    psi = ph.YoungFunction(lambda s: s ** 2, lambda s: 2 * s, t_hi=t_hi, name="sq")
+    expected = _full_check(psi, t)
+    if expected is None:
+        out = psi(t)
+        assert np.shape(out) == np.shape(t)
+        assert np.all(out == np.asarray(t, dtype=float) ** 2)
+        return
+    for fn in (psi, psi.prime):
+        with pytest.raises(EvalDomainError) as err:
+            fn(t)
+        assert type(err.value) is EvalDomainError and str(err.value) == expected
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_lean_guard_rejects_non_finite_values(bad):
+    psi = ph.YoungFunction(lambda s: np.where(s > 1.0, bad, s), np.ones_like, name="jump")
+    assert psi(np.array([0.5, 1.0])).tolist() == [0.5, 1.0]
+    for t in (np.array([0.5, 2.0]), 2.0):
+        with pytest.raises(EvalDomainError, match="jump: non-finite value inside domain"):
+            psi(t)
 
 
 def test_exp_young_overflow_guard():

@@ -9,12 +9,13 @@ from __future__ import annotations
 import argparse
 import hashlib
 import sys
+from contextlib import contextmanager
 from pathlib import Path
 
 import numpy as np
 
 from . import __version__
-from .errors import ConfigError, PhilapError
+from .errors import ConfigError, ConstructionError, PhilapError
 from .orlicz import LUXEMBURG_ITERS, gridfunction_to_csv, write_table
 from .problems import (
     HF2_SLACK,
@@ -88,14 +89,23 @@ def _write_manifest(out: Path, config_text: str, settings: SolverSettings,
     (out / "manifest.txt").write_text("\n".join(lines) + "\n")
 
 
+@contextmanager
+def _from_arguments():
+    """Parameters from the command line that a constructor rejects exit 2."""
+    try:
+        yield
+    except ConstructionError as exc:
+        raise ConfigError(str(exc)) from exc
+
+
 def _builtin_generator(args):
-    kind = args.builtin
-    if kind == "power":
-        return power_young(args.p)
-    if kind == "log-power":
-        return log_power_young(args.p)
-    if kind == "pathological":
-        return build_pathological(PathologicalParams.make(args.p, args.q, args.eps))
+    with _from_arguments():
+        if args.builtin == "power":
+            return power_young(args.p)
+        if args.builtin == "log-power":
+            return log_power_young(args.p)
+        if args.builtin == "pathological":
+            return build_pathological(PathologicalParams.make(args.p, args.q, args.eps))
     raise ConfigError(f"unknown builtin generator {args.builtin!r}")
 
 
@@ -107,7 +117,8 @@ def _outdir(args) -> Path:
 
 def _cmd_indices(args) -> int:
     psi = _builtin_generator(args)
-    grid = log_grid(args.grid_lo, min(args.grid_hi, psi.t_hi * 0.999), args.grid_n)
+    with _from_arguments():
+        grid = log_grid(args.grid_lo, min(args.grid_hi, psi.t_hi * 0.999), args.grid_n)
     pair = compute_indices(psi, grid)
     out = _outdir(args)
     write_table(out / "indices.csv",
@@ -137,6 +148,8 @@ def _cmd_conjugate(args) -> int:
 
 
 def _cmd_sobolev_conjugate(args) -> int:
+    if args.N < 2:
+        raise ConfigError(f"dimension parameter must be >= 2, got {args.N}")
     psi = _builtin_generator(args)
     star = sobolev_conjugate(psi, args.N)
     pair = compute_indices(star)
@@ -261,8 +274,9 @@ def _cmd_degiorgi(args) -> int:
 
 
 def _cmd_verify_example(args) -> int:
-    spec = builtin_example(args.name, p=args.p, N=args.N, r=args.r,
-                           gamma=args.gamma, q=args.q, eps=args.eps)
+    with _from_arguments():
+        spec = builtin_example(args.name, p=args.p, N=args.N, r=args.r,
+                               gamma=args.gamma, q=args.q, eps=args.eps)
     report = run_all_checks(spec)
     out = _outdir(args)
     report.to_csv(out / "hypotheses.csv")

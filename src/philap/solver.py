@@ -103,25 +103,46 @@ def _cell_weights(phi: YoungFunction, grid: Grid, u: np.ndarray) -> np.ndarray:
     return np.maximum(w, floor)
 
 
-def _banded_solve(diag: np.ndarray, off: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    # imported here so that importing philap, and the commands that never
-    # solve, do not pay for scipy
-    from scipy.linalg import solve_banded
-
+def _tridiagonal_solve(diag: np.ndarray, off: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """Solve of the symmetric tridiagonal system (diag, off): LAPACK dgtsv's
+    elimination with partial pivoting, operation for operation, then back
+    substitution.  A zero pivot or a non-finite entry raises LinAlgError."""
+    if not all(np.isfinite(a).all() for a in (diag, off, rhs)):
+        raise np.linalg.LinAlgError("non-finite entry in a tridiagonal system")
     n = diag.size
-    ab = np.zeros((3, n))
-    ab[0, 1:] = off
-    ab[1, :] = diag
-    ab[2, :-1] = off
-    return solve_banded((1, 1), ab, rhs)
+    # zero padding spares the last two rows their special cases
+    d, dl, du, du2 = diag.tolist(), off.tolist(), off.tolist() + [0.0], [0.0] * n
+    b = rhs.tolist() + [0.0, 0.0]
+    for i in range(n - 1):
+        if abs(d[i]) >= abs(dl[i]):
+            if d[i] == 0.0:
+                raise np.linalg.LinAlgError(f"zero pivot in row {i}")
+            fact = dl[i] / d[i]
+            d[i + 1] -= fact * du[i]
+            b[i + 1] -= fact * b[i]
+        else:
+            fact = d[i] / dl[i]
+            d[i], d[i + 1], du[i] = dl[i], du[i] - fact * d[i + 1], d[i + 1]
+            du2[i], du[i + 1] = du[i + 1], -fact * du[i + 1]
+            b[i], b[i + 1] = b[i + 1], b[i] - fact * b[i + 1]
+    if d[-1] == 0.0:
+        raise np.linalg.LinAlgError(f"zero pivot in row {n - 1}")
+    for i in range(n - 1, -1, -1):
+        b[i] = (b[i] - du[i] * b[i + 1] - du2[i] * b[i + 2]) / d[i]
+    return np.array(b[:n])
 
 
 def _precond_direction(phi: YoungFunction, grid: Grid, u: np.ndarray,
                        g: np.ndarray) -> np.ndarray:
-    w = _cell_weights(phi, grid, u)
-    diag = (w[:-1] + w[1:]) / grid.h
-    off = -w[1:-1] / grid.h
-    return _banded_solve(diag, off, -g)
+    """Closed-form solve of the weighted stiffness system for -g: the cell
+    fluxes F_j = w_j s_j are the running sum of g, taken from the cell of
+    least weight so that its flux is free of cancellation, plus the constant
+    that makes the slopes s_j sum to zero; u is the running sum of h s_j."""
+    r = 1.0 / _cell_weights(phi, grid, u)
+    c = np.concatenate(([0.0], np.cumsum(g)))
+    c -= c[np.argmax(r)]
+    f = c - (r @ c) / r.sum()
+    return np.cumsum(r[:-1] * f[:-1]) * grid.h
 
 
 @dataclass
@@ -133,8 +154,7 @@ class DescentTrace:
 
 
 def _descent(j_fn, grad_fn, direction_fn, u0: np.ndarray, tol: float,
-             max_iter: int, trace: Optional[DescentTrace] = None,
-             project=None, on_iterate=None):
+             max_iter: int, trace: Optional[DescentTrace] = None, project=None):
     """Backtracking descent to max-norm gradient tolerance.
 
     Returns (u, converged, iterations).  `project` maps a trial point
@@ -147,8 +167,6 @@ def _descent(j_fn, grad_fn, direction_fn, u0: np.ndarray, tol: float,
         res = float(np.max(np.abs(g)))
         if trace is not None:
             trace.append(it, j_val, res)
-        if on_iterate is not None:
-            on_iterate(u)
         if res < tol:
             return u, True, it
         d = direction_fn(u, g)
@@ -355,7 +373,7 @@ def energy_and_gradient(spec: ProblemSpec, trunc: TruncatedReaction,
 
 def _energy_fns(spec: ProblemSpec, trunc: TruncatedReaction, lam: float):
     """J (of a state or of each row of a 2-D array), its gradient, and the
-    banded solve with the full Jacobian of the weak residual."""
+    solve with the full (tridiagonal, indefinite) Jacobian of the weak residual."""
     grid = spec.grid
 
     def j_fn(u):
@@ -367,8 +385,7 @@ def _energy_fns(spec: ProblemSpec, trunc: TruncatedReaction, lam: float):
     def hess_solve(u: np.ndarray, rhs: np.ndarray) -> np.ndarray:
         w = _cell_weights(spec.phi, grid, u)
         diag = (w[:-1] + w[1:]) / grid.h - lam * trunc.f_hat_slope(u) * grid.h
-        off = -w[1:-1] / grid.h
-        return _banded_solve(diag, off, rhs)
+        return _tridiagonal_solve(diag, -w[1:-1] / grid.h, rhs)
 
     return j_fn, grad_fn, hess_solve
 
@@ -478,7 +495,7 @@ def mountain_pass_path(j_fn, grad_fn, hess_solve, u0: np.ndarray, u1: np.ndarray
     else:
         out = {"v": states[k], "level": float(energies[k]), "converged": False,
                "collapsed": True, "residual": math.inf, "polish_residual": math.inf}
-    return dict(out, outer_iterations=1, path_energies=energies)
+    return dict(out, outer_iterations=1)
 
 
 def _polish_critical(grad_fn, hess_solve, u: np.ndarray, tol: float,
@@ -538,7 +555,6 @@ class MountainPassResult:
     separation_ok: bool
     residual: float
     outer_iterations: int  # crests taken: 1, or 2 when a coarse start fails
-    path_energies: np.ndarray
     polish_residual: float  # smallest of the polishes that stayed above the endpoints
     coarse_start: bool
 
@@ -566,7 +582,7 @@ def _coarse_start(spec: ProblemSpec, trunc: TruncatedReaction, lam: float,
                              _resample(cmp["v"], cgrid, spec.grid), tol, end_max)
     except PhilapError:
         return None
-    return dict(out, outer_iterations=1, path_energies=cmp["path_energies"])
+    return dict(out, outer_iterations=1)
 
 
 def mountain_pass(spec: ProblemSpec, trunc: TruncatedReaction,
@@ -576,7 +592,7 @@ def mountain_pass(spec: ProblemSpec, trunc: TruncatedReaction,
                   r_star: Optional[float] = None) -> MountainPassResult:
     """Second critical point of the truncated energy.
 
-    Candidate saddles are polished by damped Newton with the banded
+    Candidate saddles are polished by damped Newton with the tridiagonal
     Jacobian of the weak residual, so the operator needs a second
     derivative and the reaction a derivative.  On a grid finer than
     COARSE_N nodes the first candidate is the saddle of the same problem
@@ -585,11 +601,11 @@ def mountain_pass(spec: ProblemSpec, trunc: TruncatedReaction,
     method (Allgower, Boehmer, Potra & Rheinboldt, SIAM J. Numer. Anal. 23,
     1986) it polishes in a few steps, where the straight path's crest can
     lie outside Newton's basin on fine grids.  It is accepted by
-    mountain_pass_path's rule; coarse_start is then set, and path_energies
-    are the coarse path's.  Otherwise the crest of the straight path from
-    the first solution to the uphill endpoint u1 is polished once, and the
-    pass fails (converged False) when that polish is not accepted; a coarse
-    saddle polished above the endpoints is then kept, with coarse_start set.
+    mountain_pass_path's rule, and coarse_start is then set.  Otherwise the
+    crest of the straight path from the first solution to the uphill
+    endpoint u1 is polished once, and the pass fails (converged False) when
+    that polish is not accepted; a coarse saddle polished above the
+    endpoints is then kept, with coarse_start set.
     max_outer is unused and kept for callers; r_star, when given, only
     feeds the separation check.
     """

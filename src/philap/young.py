@@ -449,8 +449,8 @@ def ordering(psi1: YoungFunction, psi2: YoungFunction,
 
 def power_young(p: float, coeff: float = 1.0, name: Optional[str] = None) -> YoungFunction:
     """c t^p with exact cached indices (p, p)."""
-    if p <= 1.0 or coeff <= 0.0:
-        raise ConstructionError(f"power generator needs p > 1 and coeff > 0, got p={p}")
+    if not (1.0 < p < math.inf and coeff > 0.0):
+        raise ConstructionError(f"power generator needs finite p > 1 and coeff > 0, got p={p}")
     psi = YoungFunction(
         lambda t: coeff * t ** p,
         lambda t: coeff * p * t ** (p - 1.0),
@@ -656,8 +656,8 @@ def young_from_derivative(phi_prime, t_lo: float = 1e-25, t_hi: float = EVAL_HI_
 
 def log_power_young(p: float, t_hi: float = 1e44) -> YoungFunction:
     """Primitive of t^{p-1} log(1+t); indices p and p+1."""
-    if p <= 1.0:
-        raise ConstructionError(f"log-power generator needs p > 1, got {p}")
+    if not (1.0 < p < math.inf):
+        raise ConstructionError(f"log-power generator needs finite p > 1, got {p}")
 
     def phi(t):
         return t ** (p - 1.0) * np.log1p(t)

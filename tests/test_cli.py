@@ -228,6 +228,25 @@ def test_config_load_errors_exit_two(a5_config, tmp_path, capsys, override):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("argv", [
+    ["indices", "--builtin", "power", "--p", "0.5"],
+    ["indices", "--builtin", "power", "--grid-n", "1"],
+    ["indices", "--builtin", "power", "--grid-lo", "-1"],
+    ["sobolev-conjugate", "--builtin", "power", "--N", "1"],
+    ["conjugate", "--builtin", "pathological", "--q", "5"],
+    ["verify-example", "A5", "--p", "9"],
+    ["indices", "--builtin", "power", "--p", "nan"],
+    ["sobolev-conjugate", "--builtin", "power", "--p", "inf"],
+    ["indices", "--builtin", "log-power", "--p", "inf"],
+    ["indices", "--builtin", "log-power", "--p", "nan"]])
+def test_builtin_argument_errors_exit_two(tmp_path, capsys, argv):
+    code = main(argv + ["--out", str(tmp_path / "o")])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("configuration error:")
+    assert "Traceback" not in err
+
+
 def test_unmet_mountain_tolerance_is_named(a5_config, tmp_path, capsys):
     # the polish floor grows with the level, about 1e-8 for A5 at 1.36e8
     code = main(["mountain-pass", "--config", str(a5_config), "--out", str(tmp_path / "o"),
@@ -252,11 +271,22 @@ def test_pipeline_commands_audit_once(a5_config, tmp_path, monkeypatch, command)
     assert len(calls) == 1
 
 
-def test_import_leaves_scipy_unloaded():
-    # scipy serves only the banded solve and is imported at the first one
-    code = ("import sys, philap.cli; "
-            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+def test_solving_commands_run_without_scipy(tmp_path):
+    # scipy is blocked: the first solution and the torsion (closed-form
+    # solves), the coarse start and the fine Newton polish, then the
+    # threshold stage
+    config = Path(__file__).resolve().parents[1] / "configs" / "two_solutions.ini"
+    code = ("import sys; sys.modules['scipy'] = None\n"
+            "from philap.cli import main\n"
+            "config, out = sys.argv[1:]\n"
+            "codes = [main(['mountain-pass', '--config', config, '--out', out + '/mp',\n"
+            "               '--override', 'grid.n_interior=255']),\n"
+            "         main(['lambda-star', '--config', config, '--out', out + '/ls'])]\n"
+            "print(codes, sorted(m for m, mod in sys.modules.items()\n"
+            "                    if m.split('.')[0] == 'scipy' and mod is not None))")
     env = {**os.environ, "PYTHONPATH": str(Path(philap.__file__).parents[1])}
-    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                          env=env, check=True, timeout=120)
-    assert proc.stdout.strip() == "[]"
+    proc = subprocess.run([sys.executable, "-c", code, str(config), str(tmp_path)],
+                          capture_output=True, text=True, env=env, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert "converged=True" in proc.stdout
+    assert proc.stdout.splitlines()[-1] == "[0, 0] []"

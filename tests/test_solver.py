@@ -27,6 +27,85 @@ def exact_torsion_power(p, c, x, L=1.0):
 
 
 # ---------------------------------------------------------------------------
+# linear solves
+
+
+def _random_indefinite(rng, n):
+    w = rng.uniform(0.1, 2.0, n + 1)
+    return w[:-1] + w[1:] - rng.uniform(0.0, 6.0, n), -w[1:-1], rng.standard_normal(n)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 8, 127, 1023])
+def test_tridiagonal_solve_matches_lapack_bit_for_bit(n):
+    linalg = pytest.importorskip("scipy.linalg")
+    rng = np.random.default_rng(n)
+    interchanges = 0
+    for _ in range(40):
+        diag, off, rhs = _random_indefinite(rng, n)
+        interchanges += int(np.sum(np.abs(diag[:-1]) < np.abs(off)))
+        ab = np.zeros((3, n))
+        ab[0, 1:], ab[1], ab[2, :-1] = off, diag, off
+        expected = linalg.solve_banded((1, 1), ab, rhs)
+        assert solver._tridiagonal_solve(diag, off, rhs).tobytes() == expected.tobytes()
+    assert n == 1 or interchanges > 0
+
+
+@pytest.mark.parametrize("diag, off, rhs", [
+    ([0.0, 1.0], [0.0], [1.0, 1.0]),
+    ([1.0, 1.0], [1.0], [1.0, 2.0]),
+    ([2.0, np.nan, 2.0], [1.0, 1.0], [1.0, 1.0, 1.0]),
+    ([2.0, 2.0, 2.0], [1.0, np.inf], [1.0, 1.0, 1.0]),
+    ([2.0, 2.0, 2.0], [1.0, 1.0], [1.0, np.nan, 1.0])])
+def test_tridiagonal_solve_rejects_singular_and_non_finite(diag, off, rhs):
+    with pytest.raises(np.linalg.LinAlgError):
+        solver._tridiagonal_solve(np.array(diag), np.array(off), np.array(rhs))
+
+
+def test_polish_stops_at_non_finite_jacobian():
+    # a NaN in the Jacobian ends the Newton polish instead of escaping it
+    u = np.array([1.0, 2.0, 3.0])
+    v, res = solver._polish_critical(
+        lambda u: u - 1.0,
+        lambda u, rhs: solver._tridiagonal_solve(np.full(3, np.nan), np.zeros(2), rhs),
+        u, tol=1e-8)
+    assert v.tobytes() == u.tobytes() and res == 2.0
+
+
+def _weights(rng, n, kind):
+    if kind == "log-uniform":
+        return 10.0 ** rng.uniform(-12.0, 0.0, n + 1)
+    if kind == "one-soft-cell":
+        w = rng.uniform(0.5, 1.0, n + 1)
+        w[rng.integers(n + 1)] = 1e-12
+        return w
+    if kind == "half-soft":
+        return np.where(rng.random(n + 1) < 0.5, 1e-12, rng.uniform(0.5, 1.0, n + 1))
+    return np.maximum(np.abs(np.sin(np.linspace(0.0, 7.0, n + 1))) ** 3, 1e-12)
+
+
+@pytest.mark.parametrize("kind", ["log-uniform", "one-soft-cell", "half-soft", "zero-slopes"])
+@pytest.mark.parametrize("n", [1, 2, 7, 127, 511])
+def test_precond_direction_residual_matches_dense_solve(n, kind, monkeypatch):
+    # weights down to _cell_weights' floor, 1e-12 of the largest: the
+    # closed form is as backward stable as a dense LU solve
+    rng = np.random.default_rng([n, len(kind)])
+    grid = ph.Grid(n, 1.0)
+    for _ in range(10):
+        w, g = _weights(rng, n, kind), rng.standard_normal(n)
+        monkeypatch.setattr(solver, "_cell_weights", lambda phi, grid, u: w)
+        stiff = (np.diag((w[:-1] + w[1:]) / grid.h) - np.diag(w[1:-1] / grid.h, 1)
+                 - np.diag(w[1:-1] / grid.h, -1))
+
+        def backward_error(x):
+            scale = np.abs(stiff).sum(axis=1).max() * np.abs(x).max() + np.abs(g).max()
+            return np.abs(stiff @ x + g).max() / scale
+
+        closed = solver._precond_direction(None, grid, None, g)
+        dense = np.linalg.solve(stiff, -g)
+        assert backward_error(closed) <= 8.0 * max(backward_error(dense), 2e-16)
+
+
+# ---------------------------------------------------------------------------
 # torsion
 
 
@@ -352,13 +431,14 @@ def _rerun_mountain_pass(spec, res, r_star=True):
 
 
 def _count_solves(monkeypatch):
-    solve, calls = solver._banded_solve, []
+    # Newton solves; the mountain pass makes no other
+    solve, calls = solver._tridiagonal_solve, []
 
     def counting(*args):
         calls.append(1)
         return solve(*args)
 
-    monkeypatch.setattr(solver, "_banded_solve", counting)
+    monkeypatch.setattr(solver, "_tridiagonal_solve", counting)
     return calls
 
 

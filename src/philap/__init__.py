@@ -26,8 +26,6 @@ from .orlicz import (
     cell_gradient,
     energy_modular,
     estimate_embedding_constant,
-    gridfunction_from_csv,
-    gridfunction_to_csv,
     luxemburg_norm,
     modular,
 )
@@ -53,6 +51,7 @@ from .solver import (
     degiorgi_bound,
     energy_and_gradient,
     first_solution,
+    first_stage,
     mountain_pass,
     solution_stage,
     solve_torsion,

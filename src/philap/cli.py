@@ -16,7 +16,7 @@ import numpy as np
 
 from . import __version__
 from .errors import ConfigError, ConstructionError, PhilapError
-from .orlicz import LUXEMBURG_ITERS, gridfunction_to_csv, write_table
+from .orlicz import LUXEMBURG_ITERS, write_table
 from .problems import (
     HF2_SLACK,
     HF3_SLACK,
@@ -29,6 +29,7 @@ from .solver import (
     COARSE_N,
     NEWTON_STEPS,
     TORSION_TOL,
+    first_stage,
     solution_stage,
     threshold_stage,
     write_convergence_csv,
@@ -214,57 +215,58 @@ def _cmd_lambda_star(args) -> int:
     return 0
 
 
-def _run_pipeline(args, need_mountain: bool):
-    """Every stage, the audit once; (None, 1) when the audit fails."""
+def _run_pipeline(args, mountain: bool):
+    """Audit (once), threshold, first solution and, for `mountain`, the mountain
+    pass; writes what they computed.  (None, 1) when the audit fails."""
     spec, settings, text, report, out = _audit(args)
     if not report.all_passed:
         return None, _report_audit(report, out, text, settings)
     stage = _threshold(spec, settings, report)
-    result = solution_stage(spec, stage, tol_first=settings.tol_first,
-                            tol_mountain=settings.tol_mountain, n_path=settings.n_path,
-                            max_iter=settings.max_iter)
+    columns, extra = {}, {}
+    if mountain:
+        result = solution_stage(spec, stage, tol_first=settings.tol_first,
+                                tol_mountain=settings.tol_mountain, n_path=settings.n_path,
+                                max_iter=settings.max_iter)
+        columns["v_lambda"] = result.mp.state.u.values
+        extra["mountain_residual"] = f"{result.verify_second.max_residual:.12g}"
+    else:
+        result = first_stage(spec, stage, tol_first=settings.tol_first, max_iter=settings.max_iter)
     write_solution_csv(out / "solution.csv", spec.grid, {
-        "u_lambda": result.first.u.values,
-        "v_lambda": result.mp.state.u.values,
-        "u_under": result.sub.u_under.values,
-    })
+        "u_lambda": result.first.u.values, **columns, "u_under": result.sub.u_under.values})
     write_convergence_csv(out / "convergence.csv", result.first_trace)
     write_threshold_csv(result.threshold, [result.lam], out / "threshold.csv")
     write_degiorgi_csv(out / "degiorgi.csv", result.degiorgi)
-    gridfunction_to_csv(result.sub.u_under, out / "subsolution.csv")
     _write_manifest(out, text, settings, extra={
         "lambda": f"{result.lam:.12g}",
         "lambda_star": f"{result.threshold.lambda_star:.12g}",
         "first_residual": f"{result.verify_first.max_residual:.12g}",
-        "mountain_residual": f"{result.verify_second.max_residual:.12g}",
+        **extra,
     })
-    code = 0
     print(f"lambda={result.lam:.6g} first residual={result.verify_first.max_residual:.3e} "
           f"J={result.first.J_value:.6g}")
-    if need_mountain:
-        mp = result.mp
-        print(f"mountain pass: level={mp.level:.6g} residual={mp.residual:.3e} "
-              f"converged={mp.converged} collapsed={mp.collapsed}")
-        if not mp.converged:
-            print(f"error: mountain pass did not reach solver.tol_mountain="
-                  f"{_sci(settings.tol_mountain)}; smallest residual of a polish "
-                  f"above the endpoints {mp.polish_residual:.3e}", file=sys.stderr)
-            code = 1
-    return result, code
+    if not mountain:
+        return result, 0
+    mp = result.mp
+    print(f"mountain pass: level={mp.level:.6g} residual={mp.residual:.3e} "
+          f"converged={mp.converged} collapsed={mp.collapsed}")
+    if not mp.converged:
+        print(f"error: mountain pass did not reach solver.tol_mountain="
+              f"{_sci(settings.tol_mountain)}; smallest residual of a polish "
+              f"above the endpoints {mp.polish_residual:.3e}", file=sys.stderr)
+        return result, 1
+    return result, 0
 
 
 def _cmd_solve(args) -> int:
-    _, code = _run_pipeline(args, need_mountain=False)
-    return code
+    return _run_pipeline(args, mountain=False)[1]
 
 
 def _cmd_mountain_pass(args) -> int:
-    _, code = _run_pipeline(args, need_mountain=True)
-    return code
+    return _run_pipeline(args, mountain=True)[1]
 
 
 def _cmd_degiorgi(args) -> int:
-    result, code = _run_pipeline(args, need_mountain=False)
+    result, code = _run_pipeline(args, mountain=False)
     if result is None:
         return code
     dg = result.degiorgi

@@ -7,10 +7,8 @@ estimate of the embedding constant between gradient and value norms.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass, field
-from pathlib import Path
 from typing import Optional
 
 import numpy as np
@@ -24,8 +22,6 @@ __all__ = [
     "cell_gradient",
     "energy_modular",
     "estimate_embedding_constant",
-    "gridfunction_from_csv",
-    "gridfunction_to_csv",
     "luxemburg_norm",
     "luxemburg_of",
     "modular",
@@ -258,34 +254,18 @@ def estimate_embedding_constant(phi: YoungFunction, target: YoungFunction,
     return safety * float(np.fmax.reduce(numer / denom[keep], initial=0.0))
 
 
+def _field(v) -> str:
+    """A float as .12g; anything else as its text, quoted where it holds a
+    comma, a quote or a newline, as csv.writer quotes it."""
+    if isinstance(v, float):
+        return f"{v:.12g}"
+    text = str(v)
+    if "," in text or '"' in text or "\n" in text:
+        return '"' + text.replace('"', '""') + '"'
+    return text
+
+
 def write_table(path, header, rows) -> None:
     """CSV file with a header row and LF line endings; floats as .12g."""
     with open(path, "w", newline="\n") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(header)
-        writer.writerows([f"{v:.12g}" if isinstance(v, float) else v for v in row]
-                         for row in rows)
-
-
-def gridfunction_to_csv(u: GridFunction, path) -> None:
-    """Write columns x,u with header; boundary rows included as zeros."""
-    xs = np.concatenate([[0.0], u.grid.nodes, [u.grid.length]])
-    write_table(path, ["x", "u"], zip(xs, u.padded()))
-
-
-def gridfunction_from_csv(path) -> GridFunction:
-    """Read a grid function written by gridfunction_to_csv."""
-    rows = []
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader)
-        if header[:2] != ["x", "u"]:
-            raise ConstructionError(f"unexpected CSV header {header!r} in {path}")
-        for row in reader:
-            rows.append((float(row[0]), float(row[1])))
-    xs = np.array([r[0] for r in rows])
-    vals = np.array([r[1] for r in rows])
-    if len(rows) < 3 or xs[0] != 0.0:
-        raise ConstructionError(f"malformed grid CSV {Path(path)}")
-    grid = Grid(n_interior=len(rows) - 2, length=float(xs[-1]))
-    return GridFunction(grid, vals[1:-1])
+        fh.writelines(",".join(map(_field, row)) + "\n" for row in (header, *rows))

@@ -33,6 +33,7 @@ __all__ = [
     "DeGiorgiReport",
     "DescentTrace",
     "EnergyState",
+    "FirstStage",
     "MountainPassResult",
     "PipelineResult",
     "ResidualReport",
@@ -43,6 +44,7 @@ __all__ = [
     "degiorgi_bound",
     "energy_and_gradient",
     "first_solution",
+    "first_stage",
     "mountain_pass",
     "mountain_pass_path",
     "solution_stage",
@@ -758,16 +760,23 @@ class ThresholdStage:
 
 
 @dataclass
-class PipelineResult(ThresholdStage):
+class FirstStage(ThresholdStage):
+    """The threshold stage and the first solution with its checks."""
+
     sub: SubSolution
+    trunc: TruncatedReaction
     first: EnergyState
     first_flags: dict
     first_trace: DescentTrace
+    verify_first: ResidualReport
+    degiorgi: DeGiorgiReport
+
+
+@dataclass
+class PipelineResult(FirstStage):
     uphill: GridFunction
     mp: MountainPassResult
-    verify_first: ResidualReport
     verify_second: ResidualReport
-    degiorgi: DeGiorgiReport
 
 
 def threshold_stage(spec: ProblemSpec, report: HypothesisReport,
@@ -797,32 +806,37 @@ def threshold_stage(spec: ProblemSpec, report: HypothesisReport,
                           lam=lam, admissibility=thr.r_star(lam))
 
 
-def solution_stage(spec: ProblemSpec, stage: ThresholdStage, tol_first: float = 1e-6,
-                   tol_mountain: float = 1e-4, n_path: int = 41,
-                   max_iter: int = 200000) -> PipelineResult:
-    """First solution, mountain pass, residual checks and the sup bound at
-    the weight chosen by the threshold stage."""
-    lam, r_star = stage.lam, stage.admissibility.r_star
+def first_stage(spec: ProblemSpec, stage: ThresholdStage, tol_first: float = 1e-6,
+                max_iter: int = 200000) -> FirstStage:
+    """First solution, its residual check and its sup bound at the stage's weight."""
+    lam = stage.lam
     sub = stage.sub0
     if 1.0 / sub.n_hat > lam:
         sub = build_subsolution(spec, stage.report.hf1.data["delta"], lam=lam)
     trunc = truncate_reaction(spec, sub)
-    first, flags, trace = first_solution(spec, trunc, r_star, lam,
+    first, flags, trace = first_solution(spec, trunc, stage.admissibility.r_star, lam,
                                          tol=tol_first, max_iter=max_iter)
     if not flags["converged"]:
         raise SolverError(f"first solution stalled at residual {first.residual:.3e}")
-    up = uphill_endpoint(spec, trunc, first, lam)
-    mp = mountain_pass(spec, trunc, first, up, lam, n_path=n_path,
-                       tol=tol_mountain, max_outer=max_iter, r_star=r_star)
-    ver1 = verify_solution(spec, trunc, first.u, lam)
-    ver2 = verify_solution(spec, trunc, mp.state.u, lam)
     p_exp = spec.phi_star_indices().lower
     r_exp = p_exp / spec.phi_indices().upper
     dg = degiorgi_bound(first.u, p_exp, r_exp,
                         k_start=max(0.6 * first.u.sup_norm(), 1e-9))
-    return PipelineResult(**vars(stage), sub=sub, first=first, first_flags=flags,
-                          first_trace=trace, uphill=up, mp=mp, verify_first=ver1,
-                          verify_second=ver2, degiorgi=dg)
+    return FirstStage(**vars(stage), sub=sub, trunc=trunc, first=first, first_flags=flags,
+                      first_trace=trace, verify_first=verify_solution(spec, trunc, first.u, lam),
+                      degiorgi=dg)
+
+
+def solution_stage(spec: ProblemSpec, stage: ThresholdStage, tol_first: float = 1e-6,
+                   tol_mountain: float = 1e-4, n_path: int = 41,
+                   max_iter: int = 200000) -> PipelineResult:
+    """The first stage, then the mountain pass and its solution's residual check."""
+    fs = first_stage(spec, stage, tol_first=tol_first, max_iter=max_iter)
+    up = uphill_endpoint(spec, fs.trunc, fs.first, fs.lam)
+    mp = mountain_pass(spec, fs.trunc, fs.first, up, fs.lam, n_path=n_path,
+                       tol=tol_mountain, max_outer=max_iter, r_star=fs.admissibility.r_star)
+    return PipelineResult(**vars(fs), uphill=up, mp=mp,
+                          verify_second=verify_solution(spec, fs.trunc, mp.state.u, fs.lam))
 
 
 def two_solution_pipeline(spec: ProblemSpec, lam: Optional[float] = None,

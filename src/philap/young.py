@@ -631,12 +631,14 @@ def cumulative_primitive(fn, cache_lo: float, cache_hi: float,
     fitted power behavior below the cache.
     """
     grid = log_grid(cache_lo, cache_hi, int(per_decade * math.log10(cache_hi / cache_lo)) + 1)
-    f_grid = np.asarray(fn(grid), dtype=float)
-    d0 = math.log(f_grid[3] / f_grid[0]) / math.log(grid[3] / grid[0])
-    if d0 <= -1.0:
-        raise SingularIntegrandError(f"head exponent {d0:.3f} <= -1, primitive diverges at 0")
-    head = f_grid[0] * grid[0] / (d0 + 1.0)
-    cum = head + _panel_cumulative(fn, grid, gl_order)
+    # an overflow leaves inf or nan in the table, which the check below rejects
+    with np.errstate(all="ignore"):
+        f_grid = np.asarray(fn(grid), dtype=float)
+        d0 = math.log(f_grid[3] / f_grid[0]) / math.log(grid[3] / grid[0])
+        if d0 <= -1.0:
+            raise SingularIntegrandError(f"head exponent {d0:.3f} <= -1, primitive diverges at 0")
+        head = f_grid[0] * grid[0] / (d0 + 1.0)
+        cum = head + _panel_cumulative(fn, grid, gl_order)
     if not np.all(np.isfinite(cum)) or not np.all(np.diff(cum) > 0):
         raise SingularIntegrandError("cumulative quadrature produced a non-monotone table")
     # log-log slope t f(t)/F(t); at grid[0] it is the fitted head power d0 + 1

@@ -28,5 +28,4 @@ def a5_pipeline(a5_spec):
 
 @pytest.fixture(scope="session")
 def a5_truncation(a5_pipeline):
-    spec = ph.builtin_example("A5")
-    return ph.truncate_reaction(spec, a5_pipeline.sub)
+    return a5_pipeline.trunc

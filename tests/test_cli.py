@@ -149,8 +149,7 @@ def test_mountain_pass_determinism(a5_config, tmp_path, capsys):
     assert main(["mountain-pass", "--config", str(a5_config), "--out", str(out2)]) == 0
     capsys.readouterr()
     for name in ("solution.csv", "convergence.csv", "threshold.csv",
-                 "degiorgi.csv", "subsolution.csv", "hypotheses.csv",
-                 "manifest.txt"):
+                 "degiorgi.csv", "hypotheses.csv", "manifest.txt"):
         assert (out1 / name).read_bytes() == (out2 / name).read_bytes(), name
 
 
@@ -269,6 +268,36 @@ def test_pipeline_commands_audit_once(a5_config, tmp_path, monkeypatch, command)
                         lambda spec: calls.append(spec) or check_ha2(spec))
     main([command, "--config", str(a5_config), "--out", str(tmp_path / "o")])
     assert len(calls) == 1
+
+
+@pytest.mark.parametrize("command", ["solve", "degiorgi"])
+def test_first_solution_commands_skip_the_mountain_pass(a5_config, tmp_path, monkeypatch,
+                                                         command):
+    from philap import solver
+
+    calls = []
+    mountain_pass = solver.mountain_pass
+    monkeypatch.setattr(solver, "mountain_pass",
+                        lambda *a, **k: calls.append(a) or mountain_pass(*a, **k))
+    out = tmp_path / "o"
+    assert main([command, "--config", str(a5_config), "--out", str(out)]) == 0
+    assert calls == []
+    assert (out / "solution.csv").read_text().splitlines()[0] == "x,u_lambda,u_under"
+    assert not (out / "subsolution.csv").exists()
+    manifest = (out / "manifest.txt").read_text().splitlines()
+    assert not [line for line in manifest if line.startswith("mountain_residual=")]
+    assert [line for line in manifest if line.startswith("first_residual=")]
+
+
+@pytest.mark.parametrize("p", ["7", "20", "1e300"])
+def test_log_power_primitive_overflow_is_one_error(tmp_path, capsys, p):
+    # the primitive of t^(p-1) log(1+t) passes the float range below the
+    # table's upper end 1e46 for every p >= 7
+    code = main(["indices", "--builtin", "log-power", "--p", p, "--out", str(tmp_path / "o")])
+    err = capsys.readouterr().err
+    assert code in (1, 2)
+    assert err.startswith(("error:", "configuration error:"))
+    assert len(err.splitlines()) == 1
 
 
 def test_solving_commands_run_without_scipy(tmp_path):

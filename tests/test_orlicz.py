@@ -411,18 +411,24 @@ def test_embedding_budget_error_names_stage(grid):
 
 
 # ---------------------------------------------------------------------------
-# CSV round trip
+# CSV tables
 
 
-def test_gridfunction_csv_roundtrip(tmp_path, grid):
-    rng = np.random.default_rng(3)
-    u = ph.GridFunction(grid, rng.normal(size=grid.n_interior))
-    path = tmp_path / "u.csv"
-    ph.gridfunction_to_csv(u, path)
-    lines = path.read_text().splitlines()
-    assert lines[0] == "x,u"
-    assert lines[1].startswith("0,0")
-    assert lines[-1].split(",")[1] == "0"
-    back = ph.gridfunction_from_csv(path)
-    assert back.grid.n_interior == grid.n_interior
-    assert np.max(np.abs(back.values - u.values)) < 1e-11
+def test_write_table_matches_csv_writer(tmp_path):
+    import csv
+    import io
+
+    header = ["name", "value", "note"]
+    rows = [["a,b", 1, 2.5],
+            ['say "hi"', np.float64(1.0 / 3.0), ""],
+            ["", float("nan"), float("inf")],
+            ['both, "and"', -7, np.float64(-1e-300)],
+            ["plain", True, np.float64(12345678901234.5)]]
+    path = tmp_path / "t.csv"
+    orlicz.write_table(path, header, rows)
+    expected = io.StringIO()
+    writer = csv.writer(expected, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows([f"{v:.12g}" if isinstance(v, float) else v for v in row]
+                     for row in rows)
+    assert path.read_bytes() == expected.getvalue().encode()

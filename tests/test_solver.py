@@ -609,6 +609,14 @@ def test_energy_ordering(a5_pipeline):
     assert a5_pipeline.mp.level >= a5_pipeline.first.J_value
 
 
+def test_first_stage_is_the_head_of_the_pipeline(a5_spec, a5_pipeline):
+    first = ph.first_stage(a5_spec, ph.threshold_stage(a5_spec, a5_pipeline.report))
+    assert not hasattr(first, "mp")
+    assert np.array_equal(first.first.u.values, a5_pipeline.first.u.values)
+    assert first.verify_first.max_residual == a5_pipeline.verify_first.max_residual
+    assert np.array_equal(first.degiorgi.masses, a5_pipeline.degiorgi.masses)
+
+
 def test_csv_writers(tmp_path, a5_pipeline, a5_spec):
     sol = tmp_path / "solution.csv"
     write_solution_csv(sol, a5_spec.grid, {

@@ -28,7 +28,6 @@ from .problems import (
 from .solver import (
     COARSE_N,
     NEWTON_STEPS,
-    TORSION_TOL,
     first_stage,
     solution_stage,
     threshold_stage,
@@ -67,7 +66,6 @@ TOLERANCES = {
     "root_find_iters": str(ROOT_RTOL_ITERS),
     "luxemburg_iters": str(LUXEMBURG_ITERS),
     "index_grid": f"{INDEX_GRID_POINTS}pts@[{_sci(INDEX_GRID_LO)},{_sci(INDEX_GRID_HI)}]",
-    "torsion_tol": _sci(TORSION_TOL),
     "first_solution_tol": _sci(SolverSettings.tol_first),
     "mountain_pass_tol": _sci(SolverSettings.tol_mountain),
     "coarse_n": str(COARSE_N),

@@ -27,7 +27,7 @@ from .threshold import (
     lambda_star,
     truncation_constants,
 )
-from .young import YoungFunction
+from .young import YoungFunction, young_conjugate
 
 __all__ = [
     "DeGiorgiReport",
@@ -60,7 +60,6 @@ __all__ = [
 ]
 
 ARMIJO_SLOPE = 1e-4
-TORSION_TOL = 1e-8
 # grids finer than this start the mountain pass from the saddle found on it
 COARSE_N = 127
 # step budget of the Newton polish of a mountain-pass candidate
@@ -155,82 +154,27 @@ class DescentTrace:
         self.rows.append((it, j_val, res))
 
 
-def _descent(j_fn, grad_fn, direction_fn, u0: np.ndarray, tol: float,
-             max_iter: int, trace: Optional[DescentTrace] = None, project=None):
-    """Backtracking descent to max-norm gradient tolerance.
-
-    Returns (u, converged, iterations).  `project` maps a trial point
-    back into the feasible set after acceptance.
-    """
-    u = u0.copy()
-    j_val = j_fn(u)
-    for it in range(max_iter):
-        g = grad_fn(u)
-        res = float(np.max(np.abs(g)))
-        if trace is not None:
-            trace.append(it, j_val, res)
-        if res < tol:
-            return u, True, it
-        d = direction_fn(u, g)
-        slope = float(g @ d)
-        if slope >= 0.0:
-            d = -g
-            slope = float(g @ d)
-        step = 1.0
-        accepted = False
-        for _ in range(60):
-            cand = u + step * d
-            j_cand = j_fn(cand)
-            if j_cand <= j_val + ARMIJO_SLOPE * step * slope:
-                accepted = True
-                break
-            step /= 2.0
-        if not accepted:
-            return u, False, it
-        if project is not None:
-            proj = project(cand)
-            if proj is not cand:
-                cand = proj
-                j_cand = j_fn(cand)
-        u, j_val = cand, j_cand
-    return u, False, max_iter
-
-
 # ---------------------------------------------------------------------------
 # torsion problem and sub-solution
 
 
-def solve_torsion(phi: YoungFunction, rhs: float, grid: Grid,
-                  tol: float = TORSION_TOL, max_iter: int = 4000,
-                  u0: Optional[np.ndarray] = None) -> GridFunction:
-    """Minimizer of the gradient energy minus a constant load.
+def solve_torsion(phi: YoungFunction, rhs: float, grid: Grid) -> GridFunction:
+    """Discrete equilibrium of the torsion problem -Delta_Phi u = rhs.
 
-    Strictly convex, so descent with the tridiagonal linearization as
-    preconditioner converges to the unique discrete equilibrium.
+    Exact in one dimension: the cell fluxes phi'(|s_j|) sgn s_j fall by
+    rhs h from cell to cell and are odd about the midpoint, so each slope
+    is the inverse of phi' at its flux, which is the derivative of the
+    Young conjugate (Legendre duality).  One root per distinct flux
+    magnitude keeps the slopes exactly odd; u is the running sum of h s_j.
+    A flux above phi'(t_hi) raises through the conjugate's range check.
     """
     if rhs <= 0.0:
         raise ConstructionError(f"torsion load must be positive, got {rhs}")
-    x = grid.nodes
-    if u0 is None:
-        u0 = 0.5 * rhs * x * (grid.length - x)
-    h = grid.h
-    load = rhs * h
-
-    def j_fn(u):
-        return _grad_energy(phi, grid, u) - float(load * u.sum())
-
-    def grad_fn(u):
-        return _grad_energy_gradient(phi, grid, u) - load
-
-    def direction_fn(u, g):
-        return _precond_direction(phi, grid, u, g)
-
-    u, converged, it = _descent(j_fn, grad_fn, direction_fn, u0, tol, max_iter)
-    if not converged:
-        res = float(np.max(np.abs(grad_fn(u))))
-        raise SolverError(
-            f"torsion solve stalled after {it} iterations at residual {res:.3e}")
-    return GridFunction(grid, u)
+    n, h = grid.n_interior, grid.h
+    flux = rhs * h * (n / 2.0 - np.arange(n + 1))
+    mag, inverse = np.unique(np.abs(flux), return_inverse=True)
+    s = np.sign(flux) * young_conjugate(phi).prime(mag)[inverse]
+    return GridFunction(grid, h * np.cumsum(s)[:n])
 
 
 @dataclass
@@ -264,15 +208,13 @@ def build_subsolution(spec: ProblemSpec, delta: float, lam: float = 1.0) -> SubS
     n = 1
     while n < 1.0 / lam:
         n *= 2
-    u_prev = None
     while n <= 10 ** 9:
-        u = solve_torsion(spec.phi, 1.0 / n, spec.grid, u0=u_prev)
+        u = solve_torsion(spec.phi, 1.0 / n, spec.grid)
         if u.sup_norm() < delta_eff:
             d = spec.grid.distances
             ratios = u.values / d
             return SubSolution(u_under=u, n_hat=n, delta=delta_eff,
                                k1=float(ratios.min()), k2=float(ratios.max()))
-        u_prev = u.values * 0.5
         n *= 2
     raise SolverError("torsion iterates never dropped below delta; degenerate reaction")
 
@@ -409,21 +351,39 @@ def first_solution(spec: ProblemSpec, trunc: TruncatedReaction, r_star: float,
     """
     grid = spec.grid
     trace = DescentTrace()
-    hits = {"projections": 0}
+    projections = 0
     j_fn, grad_fn, _ = _energy_fns(spec, trunc, lam)
-
-    def direction_fn(u, g):
-        return _precond_direction(spec.phi, grid, u, g)
-
-    def project(u):
-        if _grad_energy(spec.phi, grid, u) <= r_star:
-            return u
-        hits["projections"] += 1
-        return u / luxemburg_of(spec.phi, _slopes(grid, u), grid.h / (r_star * (1.0 - 1e-12)))
-
-    u, converged, iterations = _descent(j_fn, grad_fn, direction_fn,
-                                        trunc.sub.u_under.values, tol, max_iter,
-                                        trace=trace, project=project)
+    u = trunc.sub.u_under.values.copy()
+    j_val = j_fn(u)
+    converged, iterations = False, max_iter
+    for it in range(max_iter):
+        g = grad_fn(u)
+        res = float(np.max(np.abs(g)))
+        trace.append(it, j_val, res)
+        if res < tol:
+            converged, iterations = True, it
+            break
+        d = _precond_direction(spec.phi, grid, u, g)
+        slope = float(g @ d)
+        if slope >= 0.0:
+            d = -g
+            slope = float(g @ d)
+        step = 1.0
+        for _ in range(60):
+            cand = u + step * d
+            j_cand = j_fn(cand)
+            if j_cand <= j_val + ARMIJO_SLOPE * step * slope:
+                break
+            step /= 2.0
+        else:  # no Armijo step: the descent stalls
+            iterations = it
+            break
+        if _grad_energy(spec.phi, grid, cand) > r_star:
+            projections += 1
+            cand = cand / luxemburg_of(spec.phi, _slopes(grid, cand),
+                                       grid.h / (r_star * (1.0 - 1e-12)))
+            j_cand = j_fn(cand)
+        u, j_val = cand, j_cand
     state = energy_and_gradient(spec, trunc, GridFunction(grid, u), lam)
     pinned = state.H_value >= r_star * (1.0 - 1e-9)
     flags = {
@@ -431,7 +391,7 @@ def first_solution(spec: ProblemSpec, trunc: TruncatedReaction, r_star: float,
         "iterations": iterations,
         "boundary_pinned": pinned,
         "interior": state.H_value < r_star,
-        "projections": hits["projections"],
+        "projections": projections,
     }
     return state, flags, trace
 

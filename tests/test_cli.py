@@ -101,6 +101,18 @@ def test_lambda_star_command(a5_config, tmp_path, capsys):
     assert (tmp_path / "o" / "kappa_curve.csv").exists()
 
 
+@pytest.mark.parametrize("p", ["1.756", "1.733"])
+def test_lambda_star_where_a_torsion_descent_stalls(p, tmp_path, capsys):
+    # regression inputs: an energy descent for the torsion stalled here at
+    # its iteration budget (exit 1 after about 6 s)
+    config = Path(__file__).resolve().parents[1] / "configs" / "two_solutions.ini"
+    code = main(["lambda-star", "--config", str(config), "--out", str(tmp_path / "o"),
+                 "--override", f"operator.p={p}", "--override", "reaction.r=1.9",
+                 "--override", "hypotheses.upsilon_power=2.9"])
+    assert code == 0
+    assert capsys.readouterr().out.startswith("case=")
+
+
 def test_solve_requires_config(tmp_path):
     assert main(["solve", "--out", str(tmp_path / "o")]) == 2
 
@@ -197,7 +209,6 @@ def test_tolerance_registry_follows_the_constants():
         "root_find_iters": str(young.ROOT_RTOL_ITERS),
         "luxemburg_iters": str(orlicz.LUXEMBURG_ITERS),
         "index_grid": "2000pts@[1e-4,1e6]",
-        "torsion_tol": "1e-8",
         "first_solution_tol": "1e-6",
         "mountain_pass_tol": "1e-4",
         "coarse_n": str(solver.COARSE_N),
@@ -206,7 +217,7 @@ def test_tolerance_registry_follows_the_constants():
         "hf3_slack": "1e-6",
     }
     assert (young.INDEX_GRID_POINTS, young.INDEX_GRID_LO, young.INDEX_GRID_HI) == (2000, 1e-4, 1e6)
-    assert (solver.TORSION_TOL, problems.HF2_SLACK, problems.HF3_SLACK) == (1e-8, 1e-8, 1e-6)
+    assert (problems.HF2_SLACK, problems.HF3_SLACK) == (1e-8, 1e-6)
     assert [cli._sci(x) for x in (1e-6, 1e6, 1.5e-7, 1.0 / 3.0)] == [
         "1e-6", "1e6", "1.5e-7", "3.333333333333333e-1"]
 
@@ -301,9 +312,9 @@ def test_log_power_primitive_overflow_is_one_error(tmp_path, capsys, p):
 
 
 def test_solving_commands_run_without_scipy(tmp_path):
-    # scipy is blocked: the first solution and the torsion (closed-form
-    # solves), the coarse start and the fine Newton polish, then the
-    # threshold stage
+    # scipy is blocked: the torsion (closed form), the first solution
+    # (closed-form preconditioner solves), the coarse start and the fine
+    # Newton polish, then the threshold stage
     config = Path(__file__).resolve().parents[1] / "configs" / "two_solutions.ini"
     code = ("import sys; sys.modules['scipy'] = None\n"
             "from philap.cli import main\n"

@@ -133,6 +133,22 @@ def test_torsion_monotone_in_load():
     assert np.all(u2.values > u1.values)
 
 
+@pytest.mark.parametrize("phi", [ph.power_over_p_young(3.0), ph.power_young(2.0),
+                                 ph.builtin_example("A5").phi])
+def test_torsion_even_grid_is_symmetric(phi):
+    # with n even the middle cell carries zero flux, so its slope is 0
+    grid = ph.Grid(64, 1.0)
+    u = ph.solve_torsion(phi, 1.0, grid).values
+    assert solver._slopes(grid, u)[32] == 0.0
+    assert np.max(np.abs(u - u[::-1])) <= 1e-15 * np.max(u)
+
+
+def test_torsion_flux_beyond_trusted_range_raises():
+    # a flux above phi'(t_hi) raises instead of clamping the slope at t_hi
+    with pytest.raises(ph.PhilapError):
+        ph.solve_torsion(ph.exp_young(), 1e300, ph.Grid(15, 1.0))
+
+
 def test_torsion_rejects_nonpositive_load():
     with pytest.raises(Exception):
         ph.solve_torsion(ph.power_young(2.0), -1.0, ph.Grid(15, 1.0))
@@ -239,15 +255,18 @@ def test_energy_state_identity(a5_spec, a5_truncation, a5_pipeline):
     assert state.J_value == pytest.approx(state.H_value - a5_pipeline.lam * state.K_value)
 
 
-def test_gradient_matches_torsion_equilibrium(a5_spec):
+def test_gradient_matches_torsion_equilibrium():
     # at the discrete torsion equilibrium the assembled gradient of the
-    # constant-load energy vanishes to solver tolerance
-    grid = a5_spec.grid
-    c = 0.25
-    u = ph.solve_torsion(a5_spec.phi, c, grid)
+    # constant-load energy vanishes to round-off of the load c h
     from philap.solver import _grad_energy_gradient
-    res = _grad_energy_gradient(a5_spec.phi, grid, u.values) - c * grid.h
-    assert np.max(np.abs(res)) < 1e-8
+    c = 0.25
+    for name in ("A5", "A4"):
+        for n in (127, 2047):
+            spec = ph.builtin_example(name, n_interior=n)
+            grid = spec.grid
+            u = ph.solve_torsion(spec.phi, c, grid)
+            res = _grad_energy_gradient(spec.phi, grid, u.values) - c * grid.h
+            assert np.max(np.abs(res)) <= 1e-8 * c * grid.h, (name, n)
 
 
 def test_gradient_finite_difference(a5_spec, a5_truncation, a5_pipeline):

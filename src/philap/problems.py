@@ -158,8 +158,7 @@ def upsilon_ratio_reaction(upsilon: YoungFunction, c2: float = 1.0,
         s = np.asarray(s, dtype=float)
         return upsilon(s) / s
 
-    prim, _, _ = cumulative_primitive(ratio, 1e-10, min(upsilon.t_hi / 2.0, 1e30),
-                                      per_decade=60)
+    prim = cumulative_primitive(ratio, 1e-10, min(upsilon.t_hi / 2.0, 1e30), per_decade=60)
     def ratio_slope(s):
         s = np.asarray(s, dtype=float)
         return upsilon.prime(s) / s - upsilon(s) / s ** 2

@@ -346,7 +346,8 @@ def first_solution(spec: ProblemSpec, trunc: TruncatedReaction, r_star: float,
     radial scaling restores feasibility when a step leaves the ball.  The
     scaled point u / lam lies on the sphere H = r_star (1 - 1e-12) when lam
     is the Luxemburg norm of u's slopes under phi with weight
-    h / (r_star (1 - 1e-12)).
+    h / (r_star (1 - 1e-12)).  A projected step from a projected point that
+    does not lower J ends the descent, pinned and not converged.
     Returns (EnergyState, flags, trace).
     """
     grid = spec.grid
@@ -355,7 +356,7 @@ def first_solution(spec: ProblemSpec, trunc: TruncatedReaction, r_star: float,
     j_fn, grad_fn, _ = _energy_fns(spec, trunc, lam)
     u = trunc.sub.u_under.values.copy()
     j_val = j_fn(u)
-    converged, iterations = False, max_iter
+    converged, iterations, on_sphere = False, max_iter, False
     for it in range(max_iter):
         g = grad_fn(u)
         res = float(np.max(np.abs(g)))
@@ -378,12 +379,16 @@ def first_solution(spec: ProblemSpec, trunc: TruncatedReaction, r_star: float,
         else:  # no Armijo step: the descent stalls
             iterations = it
             break
-        if _grad_energy(spec.phi, grid, cand) > r_star:
+        projected = _grad_energy(spec.phi, grid, cand) > r_star
+        if projected:
             projections += 1
             cand = cand / luxemburg_of(spec.phi, _slopes(grid, cand),
                                        grid.h / (r_star * (1.0 - 1e-12)))
             j_cand = j_fn(cand)
-        u, j_val = cand, j_cand
+            if on_sphere and j_cand >= j_val:  # pinned: the sphere's minimum
+                iterations = it
+                break
+        u, j_val, on_sphere = cand, j_cand, projected
     state = energy_and_gradient(spec, trunc, GridFunction(grid, u), lam)
     pinned = state.H_value >= r_star * (1.0 - 1e-9)
     flags = {

@@ -311,6 +311,16 @@ def test_log_power_primitive_overflow_is_one_error(tmp_path, capsys, p):
     assert len(err.splitlines()) == 1
 
 
+def test_import_leaves_numpy_polynomial_unloaded():
+    # the table quadrature's nodes are literals, not leggauss calls
+    code = "import sys, philap.cli; print('numpy.polynomial' in sys.modules)"
+    env = {**os.environ, "PYTHONPATH": str(Path(philap.__file__).parents[1])}
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=env, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
+
+
 def test_solving_commands_run_without_scipy(tmp_path):
     # scipy is blocked: the torsion (closed form), the first solution
     # (closed-form preconditioner solves), the coarse start and the fine

@@ -1,6 +1,7 @@
 """Torsion, sub-solution, truncation, descent, mountain pass, sup bound."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -347,6 +348,22 @@ def test_first_solution_projects_onto_binding_radius(a5_spec, a5_truncation, a5_
     assert flags["projections"] > 0
     assert state.H_value <= r_star
     assert flags["boundary_pinned"]
+
+
+@pytest.mark.parametrize("example", ["A5", "A4", "pathological-reaction"])
+def test_pinned_first_solution_stops(example):
+    # a minimum on the sphere keeps the constraint's multiplier in the
+    # gradient: the descent ends once J stops falling there, unconverged
+    spec = ph.builtin_example(example)
+    stage = ph.threshold_stage(spec, ph.run_all_checks(spec))
+    free = ph.first_stage(spec, stage)
+    r_star = 0.5 * free.first.H_value
+    _, flags, _ = ph.first_solution(spec, free.trunc, r_star, stage.lam)
+    assert flags["iterations"] <= 20 and flags["projections"] > 0
+    assert not flags["converged"] and flags["boundary_pinned"]
+    pinned = replace(stage, admissibility=replace(stage.admissibility, r_star=r_star))
+    with pytest.raises(SolverError, match="first solution stalled"):
+        ph.first_stage(spec, pinned)
 
 
 # ---------------------------------------------------------------------------

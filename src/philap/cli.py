@@ -7,6 +7,7 @@ still written), 2 usage or configuration errors.
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import sys
 from contextlib import contextmanager
@@ -288,85 +289,60 @@ def _cmd_verify_example(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    """The philap parser: each option group is declared once and shared
+    through parents=, and the subcommands come from one table."""
+    builtin, grid, dimension, config, example, out = (
+        argparse.ArgumentParser(add_help=False) for _ in range(6))
+    builtin.add_argument("--builtin", required=True,
+                         choices=["power", "log-power", "pathological"])
+    builtin.add_argument("--p", type=float, default=3.0)
+    builtin.add_argument("--q", type=float, default=2.0)
+    builtin.add_argument("--eps", type=float, default=1.9)
+    grid.add_argument("--grid-lo", type=float, default=1e-4)
+    grid.add_argument("--grid-hi", type=float, default=1e6)
+    grid.add_argument("--grid-n", type=int, default=2000)
+    dimension.add_argument("--N", type=int, default=4)
+    config.add_argument("--config", help="problem configuration file (INI)")
+    config.add_argument("--override", action="append", default=[], metavar="SECTION.KEY=VALUE")
+    example.add_argument("name", choices=["A5", "A4", "pathological-reaction"])
+    example.add_argument("--p", type=float, default=3.0)
+    example.add_argument("--N", type=int, default=4)
+    example.add_argument("--r", type=float, default=3.5)
+    example.add_argument("--gamma", type=float, default=0.5)
+    example.add_argument("--q", type=float, default=2.0)
+    example.add_argument("--eps", type=float, default=1.9)
+    out.add_argument("--out", default="philap-out", help="output directory")
+    commands = [
+        ("indices", "growth indices of a built-in generator", _cmd_indices, [builtin, grid]),
+        ("conjugate", "Young conjugate table and involution check", _cmd_conjugate, [builtin]),
+        ("sobolev-conjugate", "critical-growth conjugate table", _cmd_sobolev_conjugate,
+         [builtin, dimension]),
+        ("check", "audit the structural hypotheses", _cmd_check, [config]),
+        ("lambda-star", "threshold and admissible radius", _cmd_lambda_star, [config]),
+        ("solve", "constrained first solution", _cmd_solve, [config]),
+        ("mountain-pass", "two-solution pipeline", _cmd_mountain_pass, [config]),
+        ("degiorgi", "sup-bound diagnostic on the first solution", _cmd_degiorgi, [config]),
+        ("verify-example", "audit a built-in example problem", _cmd_verify_example, [example]),
+    ]
     parser = argparse.ArgumentParser(
         prog="philap",
         description="Numerical laboratory for singular quasilinear problems "
                     "in Orlicz-Sobolev settings (1D grids)")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add_common(p):
-        p.add_argument("--out", default="philap-out", help="output directory")
-
-    def add_builtin(p):
-        p.add_argument("--builtin", required=True,
-                       choices=["power", "log-power", "pathological"])
-        p.add_argument("--p", type=float, default=3.0)
-        p.add_argument("--q", type=float, default=2.0)
-        p.add_argument("--eps", type=float, default=1.9)
-
-    p = sub.add_parser("indices", help="growth indices of a built-in generator")
-    add_builtin(p)
-    p.add_argument("--grid-lo", type=float, default=1e-4)
-    p.add_argument("--grid-hi", type=float, default=1e6)
-    p.add_argument("--grid-n", type=int, default=2000)
-    add_common(p)
-    p.set_defaults(func=_cmd_indices)
-
-    p = sub.add_parser("conjugate", help="Young conjugate table and involution check")
-    add_builtin(p)
-    add_common(p)
-    p.set_defaults(func=_cmd_conjugate)
-
-    p = sub.add_parser("sobolev-conjugate", help="critical-growth conjugate table")
-    add_builtin(p)
-    p.add_argument("--N", type=int, default=4)
-    add_common(p)
-    p.set_defaults(func=_cmd_sobolev_conjugate)
-
-    def add_config(p):
-        p.add_argument("--config", help="problem configuration file (INI)")
-        p.add_argument("--override", action="append", default=[],
-                       metavar="SECTION.KEY=VALUE")
-        add_common(p)
-
-    p = sub.add_parser("check", help="audit the structural hypotheses")
-    add_config(p)
-    p.set_defaults(func=_cmd_check)
-
-    p = sub.add_parser("lambda-star", help="threshold and admissible radius")
-    add_config(p)
-    p.set_defaults(func=_cmd_lambda_star)
-
-    p = sub.add_parser("solve", help="constrained first solution")
-    add_config(p)
-    p.set_defaults(func=_cmd_solve)
-
-    p = sub.add_parser("mountain-pass", help="two-solution pipeline")
-    add_config(p)
-    p.set_defaults(func=_cmd_mountain_pass)
-
-    p = sub.add_parser("degiorgi", help="sup-bound diagnostic on the first solution")
-    add_config(p)
-    p.set_defaults(func=_cmd_degiorgi)
-
-    p = sub.add_parser("verify-example", help="audit a built-in example problem")
-    p.add_argument("name", choices=["A5", "A4", "pathological-reaction"])
-    p.add_argument("--p", type=float, default=3.0)
-    p.add_argument("--N", type=int, default=4)
-    p.add_argument("--r", type=float, default=3.5)
-    p.add_argument("--gamma", type=float, default=0.5)
-    p.add_argument("--q", type=float, default=2.0)
-    p.add_argument("--eps", type=float, default=1.9)
-    add_common(p)
-    p.set_defaults(func=_cmd_verify_example)
-
+    for name, text, func, groups in commands:
+        sub.add_parser(name, help=text, parents=[*groups, out]).set_defaults(func=func)
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """One parser per process: parse_args leaves it unchanged."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
     try:

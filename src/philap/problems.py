@@ -27,6 +27,7 @@ from .young import (
     conjugate_inverse,
     cumulative_primitive,
     diverging_maxima,
+    first_window,
     log_grid,
     log_power_young,
     power_young,
@@ -59,6 +60,10 @@ HA_GRID_POINTS = 2000
 HF2_SLACK = 1e-8
 HF3_SLACK = 1e-6
 T_MAX_DEFAULT = 1e4
+HF1_DELTAS = np.ldexp(1.0, np.arange(5, -41, -1))  # 2^5 down to 2^-40
+HF1_NEAR_ZERO = np.array([10.0 ** -k for k in range(1, 7)])
+AR_SCAN_HI = 1e8
+AR_CANDIDATES = np.ldexp(1.0, np.arange(-10, 28))  # up to 2^27, the first R above AR_SCAN_HI
 
 
 @dataclass
@@ -314,17 +319,13 @@ def check_ha2(spec: ProblemSpec) -> CheckEntry:
 
 
 def check_hf1(reaction: Reaction, nodes: np.ndarray) -> CheckEntry:
-    """Blow-up of the reaction near zero, sampled evidence only."""
+    """Blow-up of the reaction near zero, sampled evidence only: delta is the
+    largest of 2^5, 2^4, ..., 2^-40 with f >= 1 on 50 samples of
+    [delta 1e-9, delta], and f must grow toward 0 over 10^-1, ..., 10^-6."""
     del nodes  # built-in reactions are autonomous; one evaluation covers all x
-    delta = 0.0
-    for j in range(5, -41, -1):
-        cand = 2.0 ** j
-        s = np.geomspace(cand * 1e-9, cand, 50)
-        if np.min(reaction.value(s)) >= 1.0:
-            delta = cand
-            break
-    mins = np.array([float(reaction.value(np.array([10.0 ** (-k)]))[0])
-                     for k in range(1, 7)])
+    k = first_window(HF1_DELTAS * 1e-9, HF1_DELTAS, 50, lambda s: reaction.value(s) >= 1.0)
+    delta = float(HF1_DELTAS[k]) if k >= 0 else 0.0
+    mins = reaction.value(HF1_NEAR_ZERO)
     # f must grow from its sampled minimum down to the bottom sample (s^r +
     # s^-gamma falls first when gamma is small); a minimum at the bottom fails
     low = int(np.argmin(mins))
@@ -393,18 +394,18 @@ def run_all_checks(spec: ProblemSpec, t_max: float = T_MAX_DEFAULT) -> Hypothesi
 
 
 def _find_ar_threshold(mu: float, gamma: float, upsilon: YoungFunction,
-                       i_ups: float, scan_hi: float = 1e8) -> float:
-    """Smallest dyadic R with mu/(1-gamma) t^(1-gamma) <= (1-mu/i_ups) ups(t)
-    verified on samples of [R, scan_hi]."""
+                       i_ups: float) -> float:
+    """Smallest R in AR_CANDIDATES with mu/(1-gamma) t^(1-gamma) <=
+    (1-mu/i_ups) ups(t) on 200 samples of [R, AR_SCAN_HI], every candidate
+    in one upsilon call."""
     margin = 1.0 - mu / i_ups
     if margin <= 0.0:
         raise ConstructionError(f"mu={mu} not below the lower index {i_ups}")
-    for j in range(-10, 61):
-        R = 2.0 ** j
-        t = np.geomspace(R, scan_hi, 200)
-        if np.all(mu / (1.0 - gamma) * t ** (1.0 - gamma) <= margin * upsilon(t)):
-            return R
-    raise ConstructionError("no dyadic superlinearity threshold found")
+    k = first_window(AR_CANDIDATES, AR_SCAN_HI, 200,
+                     lambda t: mu / (1.0 - gamma) * t ** (1.0 - gamma) <= margin * upsilon(t))
+    if k < 0:
+        raise ConstructionError("no dyadic superlinearity threshold found")
+    return float(AR_CANDIDATES[k])
 
 
 def _auto_mu(spec_phi: YoungFunction, upsilon: YoungFunction) -> float:

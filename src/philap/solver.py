@@ -347,8 +347,9 @@ def first_solution(spec: ProblemSpec, trunc: TruncatedReaction, r_star: float,
     scaled point u / lam lies on the sphere H = r_star (1 - 1e-12) when lam
     is the Luxemburg norm of u's slopes under phi with weight
     h / (r_star (1 - 1e-12)).  A projected step from a projected point that
-    does not lower J ends the descent, pinned and not converged.
-    Returns (EnergyState, flags, trace).
+    does not lower J ends the descent, pinned and not converged.  A state
+    within 1e-9 relative of the sphere is boundary_pinned, any other is
+    interior.  Returns (EnergyState, flags, trace).
     """
     grid = spec.grid
     trace = DescentTrace()
@@ -395,7 +396,7 @@ def first_solution(spec: ProblemSpec, trunc: TruncatedReaction, r_star: float,
         "converged": converged,
         "iterations": iterations,
         "boundary_pinned": pinned,
-        "interior": state.H_value < r_star,
+        "interior": not pinned,
         "projections": projections,
     }
     return state, flags, trace

@@ -22,7 +22,7 @@ from .young import (
     YoungFunction,
     compute_indices,
     conjugate_inverse,
-    log_grid,
+    first_window,
     ordering,
     scaling_bound_upper,
 )
@@ -93,34 +93,39 @@ def classify(upsilon: YoungFunction, phi: YoungFunction) -> GrowthCase:
     """Growth case of the envelope against the generator.
 
     The strong verdicts are preferred; Neither in both directions is
-    outside the admissible classification and raises.
+    outside the admissible classification and raises.  Each direction is
+    compared at most once.
     """
-    if ordering(upsilon, phi) is Ordering.MUCH_LESS:
+    forward = ordering(upsilon, phi)
+    if forward is Ordering.MUCH_LESS:
         return GrowthCase.MUCH_LESS
-    if ordering(phi, upsilon) is Ordering.MUCH_LESS:
+    backward = ordering(phi, upsilon)
+    if backward is Ordering.MUCH_LESS:
         return GrowthCase.MUCH_GREATER
-    if ordering(upsilon, phi) is Ordering.LESS:
+    if forward is Ordering.LESS:
         return GrowthCase.LESS
-    if ordering(phi, upsilon) is Ordering.LESS:
+    if backward is Ordering.LESS:
         return GrowthCase.GREATER
     raise UnclassifiableError(
         f"{upsilon.name} and {phi.name} are incomparable; no admissible case")
 
 
-def _find_tail_m(lhs: YoungFunction, rhs: YoungFunction, factor: float,
-                 samples_per_decade: int = 16) -> float:
-    """Smallest dyadic M with lhs(t) <= rhs(factor * t) verified per decade
-    above M, doubling up to the domain cap."""
+TAIL_M_PER_DECADE = 16  # samples per decade of the widest window of _find_tail_m
+
+
+def _find_tail_m(lhs: YoungFunction, rhs: YoungFunction, factor: float) -> float:
+    """Smallest dyadic M in [1, cap / 10) with lhs(t) <= rhs(factor * t) on
+    [M, cap], cap the shared domain cap (at most 1e30); all windows at once,
+    each with as many samples as TAIL_M_PER_DECADE gives [1, cap]."""
     cap = min(lhs.t_hi, rhs.t_hi / factor, 1e30)
-    m = 1.0
-    while m < cap / 10.0:
-        n = max(int(samples_per_decade * math.log10(cap / m)), 8)
-        t = log_grid(m, cap, n)
-        if np.all(lhs(t) <= rhs(factor * t) * (1.0 + 1e-12)):
-            return m
-        m *= 2.0
-    raise CaseContradictionError(
-        f"no tail bound {lhs.name} <= {rhs.name}({factor:g} t); case misclassified")
+    m = np.ldexp(1.0, np.arange(100))
+    m = m[m < cap / 10.0]
+    n = max(int(TAIL_M_PER_DECADE * math.log10(cap)), 8)
+    k = first_window(m, cap, n, lambda t: lhs(t) <= rhs(factor * t) * (1.0 + 1e-12))
+    if k < 0:
+        raise CaseContradictionError(
+            f"no tail bound {lhs.name} <= {rhs.name}({factor:g} t); case misclassified")
+    return float(m[k])
 
 
 def case_four_minimum(A: float, B: float, theta: float) -> tuple[float, float]:

@@ -42,6 +42,7 @@ __all__ = [
     "delta2_nabla2",
     "diverging_maxima",
     "exp_young",
+    "first_window",
     "inverse_value",
     "log_grid",
     "log_power_young",
@@ -79,6 +80,17 @@ def log_grid(lo: float, hi: float, n: int) -> np.ndarray:
     if not (0.0 < lo < hi) or n < 2:
         raise ConstructionError(f"invalid log grid [{lo}, {hi}] with {n} points")
     return np.geomspace(lo, hi, n)
+
+
+def first_window(lo, hi, n: int, holds) -> int:
+    """Index of the first candidate window [lo[k], hi[k]] on whose n
+    log-spaced samples holds is true everywhere, or -1.  One geomspace call
+    builds every window (each row bit-identical to its own geomspace) and
+    holds gets them at once as one array, one row per candidate; ends with
+    more axes stack several windows into one candidate."""
+    t = np.geomspace(lo, hi, n, axis=-1)
+    ok = np.all(holds(t), axis=tuple(range(1, t.ndim)))
+    return int(np.argmax(ok)) if ok.any() else -1
 
 
 def _regula_falsi(f, a, b, fa, fb, iters: int, name: str) -> np.ndarray:
@@ -399,24 +411,28 @@ class Ordering(Enum):
     NEITHER = "neither"
 
 
-def _tail_window(psi1: YoungFunction, psi2: YoungFunction, factor: float,
-                 n_tail: int = 160):
-    hi = min(psi1.t_hi, psi2.t_hi / max(factor, 1.0))
+TAIL_POINTS = 160  # samples of each shared tail window of ordering
+MUCH_LESS_ETAS = np.array([0.1, 1.0, 10.0])
+LESS_FACTORS = np.ldexp(1.0, np.arange(31))  # c = 1, 2, ..., 2^30
+
+
+def _tail_windows(psi1: YoungFunction, psi2: YoungFunction, factors: np.ndarray):
+    """Ends of the four-decade tail windows [hi / 1e4, hi], hi = min(t_hi of
+    psi1, t_hi of psi2 / max(c, 1)), one per factor c, and whether each
+    starts above both domain floors."""
+    hi = np.minimum(psi1.t_hi, psi2.t_hi / np.maximum(factors, 1.0))
     lo = hi / 1e4
-    if lo <= max(psi1.t_lo, psi2.t_lo):
-        raise EvalDomainError(
-            f"ordering({psi1.name}, {psi2.name}): shared tail shorter than 4 decades")
-    return log_grid(lo, hi, n_tail)
+    return lo, hi, lo > max(psi1.t_lo, psi2.t_lo)
 
 
-def ordering(psi1: YoungFunction, psi2: YoungFunction,
-             etas=(0.1, 1.0, 10.0), c_exponents=range(0, 31)) -> Ordering:
+def ordering(psi1: YoungFunction, psi2: YoungFunction) -> Ordering:
     """Growth comparison of psi1 against psi2 on the shared domain tail.
 
     MUCH_LESS when psi1(t)/psi2(eta t) decays monotonically toward zero
-    for every tested eta; LESS when psi1(t) <= psi2(c t) on the tail for
-    some dyadic c; the index shortcut s_{psi1} < i_{psi2} is applied
-    first.  NEITHER is a valid answer.
+    for every eta in MUCH_LESS_ETAS; LESS when psi1(t) <= psi2(c t) on the
+    tail for some c in LESS_FACTORS; the index shortcut
+    s_{psi1} < i_{psi2} is applied first.  Each test evaluates psi1 and
+    psi2 once on all its windows.  NEITHER is a valid answer.
     """
     try:
         p1 = psi1.indices or compute_indices(psi1)
@@ -426,30 +442,21 @@ def ordering(psi1: YoungFunction, psi2: YoungFunction,
     except (EvalDomainError, ConstructionError):
         pass
 
-    much_less = True
-    for eta in etas:
-        try:
-            t = _tail_window(psi1, psi2, eta)
-        except EvalDomainError:
-            much_less = False
-            break
-        ratio = psi1(t) / psi2(eta * t)
-        monotone = np.all(np.diff(ratio) <= 1e-9 * ratio[:-1] + 1e-300)
-        vanishing = ratio[-1] <= 1e-2 * ratio[0]
-        if not (monotone and vanishing):
-            much_less = False
-            break
-    if much_less:
+    def decays(t):
+        ratio = psi1(t) / psi2(MUCH_LESS_ETAS[:, None] * t)
+        monotone = np.diff(ratio) <= 1e-9 * ratio[..., :-1] + 1e-300
+        return monotone & (ratio[..., -1:] <= 1e-2 * ratio[..., :1])
+
+    lo, hi, ok = _tail_windows(psi1, psi2, MUCH_LESS_ETAS)
+    # the eta windows stacked into one candidate: every one must decay
+    if ok.all() and first_window(lo[None], hi[None], TAIL_POINTS, decays) == 0:
         return Ordering.MUCH_LESS
 
-    for j in c_exponents:
-        c = 2.0 ** j
-        try:
-            t = _tail_window(psi1, psi2, c)
-        except EvalDomainError:
-            continue
-        if np.all(psi1(t) <= psi2(c * t) * (1.0 + 1e-10)):
-            return Ordering.LESS
+    lo, hi, ok = _tail_windows(psi1, psi2, LESS_FACTORS)
+    c = LESS_FACTORS[ok, None]
+    if first_window(lo[ok], hi[ok], TAIL_POINTS,
+                    lambda t: psi1(t) <= psi2(c * t) * (1.0 + 1e-10)) >= 0:
+        return Ordering.LESS
     return Ordering.NEITHER
 
 

@@ -281,6 +281,26 @@ def test_pipeline_commands_audit_once(a5_config, tmp_path, monkeypatch, command)
     assert len(calls) == 1
 
 
+def test_main_reuses_one_parser_without_leaking_overrides(a5_config, tmp_path, monkeypatch):
+    from philap import cli
+    from philap.errors import ConfigError
+
+    seen = []
+
+    def load_problem(path, overrides=None):
+        seen.append(overrides)
+        raise ConfigError("stop after parsing")
+
+    monkeypatch.setattr(cli, "load_problem", load_problem)
+    base = ["check", "--config", str(a5_config), "--out", str(tmp_path / "o")]
+    parser = cli._parser()
+    assert main(base + ["--override", "solver.seed=5"]) == 2
+    assert main(base + ["--override", "solver.seed=6", "--override", "grid.n_interior=63"]) == 2
+    assert main(base) == 2
+    assert seen == [["solver.seed=5"], ["solver.seed=6", "grid.n_interior=63"], []]
+    assert cli._parser() is parser
+
+
 @pytest.mark.parametrize("command", ["solve", "degiorgi"])
 def test_first_solution_commands_skip_the_mountain_pass(a5_config, tmp_path, monkeypatch,
                                                          command):

@@ -360,7 +360,7 @@ def test_pinned_first_solution_stops(example):
     r_star = 0.5 * free.first.H_value
     _, flags, _ = ph.first_solution(spec, free.trunc, r_star, stage.lam)
     assert flags["iterations"] <= 20 and flags["projections"] > 0
-    assert not flags["converged"] and flags["boundary_pinned"]
+    assert not flags["converged"] and flags["boundary_pinned"] and not flags["interior"]
     pinned = replace(stage, admissibility=replace(stage.admissibility, r_star=r_star))
     with pytest.raises(SolverError, match="first solution stalled"):
         ph.first_stage(spec, pinned)

@@ -13,7 +13,6 @@ from .errors import (
     ConfigError,
     ConstructionError,
     EvalDomainError,
-    MissingIndicesError,
     OutOfRangeError,
     PhilapError,
     SingularIntegrandError,

@@ -152,7 +152,7 @@ def _cmd_sobolev_conjugate(args) -> int:
         raise ConfigError(f"dimension parameter must be >= 2, got {args.N}")
     psi = _builtin_generator(args)
     star = sobolev_conjugate(psi, args.N)
-    pair = compute_indices(star)
+    pair = star.indices
     lo = star.t_lo * 1.01
     hi = star.t_hi * 0.99
     ts = log_grid(lo, hi, 200)

@@ -21,10 +21,6 @@ class ConstructionError(PhilapError):
     """Invalid parameters for constructing a domain object."""
 
 
-class MissingIndicesError(PhilapError):
-    """Growth indices are required but have not been computed yet."""
-
-
 class UnclassifiableError(PhilapError):
     """Growth comparison returned Neither in both directions."""
 

@@ -23,7 +23,6 @@ from .young import (
     PathologicalParams,
     YoungFunction,
     build_pathological,
-    compute_indices,
     conjugate_inverse,
     cumulative_primitive,
     diverging_maxima,
@@ -31,6 +30,7 @@ from .young import (
     log_grid,
     log_power_young,
     power_young,
+    sobolev_conjugate,
     theta_growth_integrals,
 )
 
@@ -71,8 +71,8 @@ class Reaction:
     """Reaction term split as a regular part plus c2 * s^(-gamma).
 
     The split keeps the singular factor explicit for truncation bounds
-    and exact quadrature near zero.  Built-ins are autonomous; the x
-    argument of the public surface is accepted and ignored.
+    and exact quadrature near zero.  Reactions are autonomous: they depend
+    on s only.
     """
 
     regular: Callable[[np.ndarray], np.ndarray]
@@ -81,7 +81,6 @@ class Reaction:
     gamma: float
     regular_derivative: Optional[Callable[[np.ndarray], np.ndarray]] = None
     name: str = "f"
-    autonomous: bool = True
 
     def __post_init__(self):
         if not (0.0 < self.gamma < 1.0):
@@ -228,18 +227,16 @@ class ProblemSpec:
     @property
     def phi_star(self) -> YoungFunction:
         if self._phi_star is None:
-            from .young import sobolev_conjugate
             self._phi_star = sobolev_conjugate(self.phi, self.n_dim)
         return self._phi_star
 
+    # the generators own their indices; these two delegates remain because
+    # perfbench/replay.py calls them
     def phi_indices(self) -> IndexPair:
-        return self.phi.indices or compute_indices(self.phi)
-
-    def upsilon_indices(self) -> IndexPair:
-        return self.upsilon.indices or compute_indices(self.upsilon)
+        return self.phi.indices
 
     def phi_star_indices(self) -> IndexPair:
-        return self.phi_star.indices or compute_indices(self.phi_star)
+        return self.phi_star.indices
 
 
 @dataclass
@@ -305,13 +302,13 @@ def check_ha2(spec: ProblemSpec) -> CheckEntry:
     inc_ratios = increments[1:] / increments[:-1]
     diverges = bool(np.all(inc_ratios >= 1.0 - 1e-3)
                     and np.all(integrals[1:] / integrals[:-1] >= 1.0 + 1e-3))
-    s_phi = spec.phi_indices().upper
+    s_phi = spec.phi.indices.upper
     if not diverges:
         detail = (f"inverse-growth integral saturates (increment ratio "
                   f"{float(inc_ratios[-1]):.4f}), conjugate undefined")
         return CheckEntry("H(a)2", False, detail,
                           {"diverges": 0.0, "s_phi": s_phi, "i_phi_star": math.nan})
-    i_star = spec.phi_star_indices().lower
+    i_star = spec.phi_star.indices.lower
     passed = s_phi < i_star
     detail = f"integral diverges, s_phi={s_phi:.4f} vs i_star={i_star:.4f}"
     return CheckEntry("H(a)2", passed, detail,
@@ -340,8 +337,8 @@ def check_hf1(reaction: Reaction, nodes: np.ndarray) -> CheckEntry:
 def check_hf2(spec: ProblemSpec, n_samples: int = 200) -> CheckEntry:
     """Growth envelope f <= c1 * conj_inv(upsilon) + c2 s^-gamma, plus the
     index window 1 < i_ups <= s_ups < i_phi_star."""
-    ups = spec.upsilon_indices()
-    i_star = spec.phi_star_indices().lower
+    ups = spec.upsilon.indices
+    i_star = spec.phi_star.indices.lower
     index_ok = ups.lower > 1.0 and ups.upper < i_star
     s = log_grid(1e-6, min(1e6, spec.upsilon.t_hi / 10.0), n_samples)
     bound = spec.c1 * conjugate_inverse(spec.upsilon, spec.upsilon(s))
@@ -361,7 +358,7 @@ def check_hf3(spec: ProblemSpec, t_max: float = T_MAX_DEFAULT,
               n_samples: int = 200) -> CheckEntry:
     """Superlinearity mu F(t) <= t f(t) above the threshold R, with F the
     primitive of f from 0."""
-    s_phi = spec.phi_indices().upper
+    s_phi = spec.phi.indices.upper
     if not (spec.mu > s_phi):
         return CheckEntry("H(f)3", False,
                           f"mu={spec.mu:.4f} not above s_phi={s_phi:.4f}",
@@ -409,8 +406,8 @@ def _find_ar_threshold(mu: float, gamma: float, upsilon: YoungFunction,
 
 
 def _auto_mu(spec_phi: YoungFunction, upsilon: YoungFunction) -> float:
-    s_phi = (spec_phi.indices or compute_indices(spec_phi)).upper
-    i_ups = (upsilon.indices or compute_indices(upsilon)).lower
+    s_phi = spec_phi.indices.upper
+    i_ups = upsilon.indices.lower
     if not (s_phi < i_ups):
         raise ConstructionError(
             f"no admissible superlinearity exponent: s_phi={s_phi:.4f} >= i_ups={i_ups:.4f}")
@@ -442,9 +439,6 @@ def builtin_example(name: str, *, p: float = 3.0, N: int = 4, r: float = 3.5,
         if not (0.0 < gamma < 1.0):
             raise ConstructionError(f"A5 needs gamma in (0,1), got {gamma}")
         phi = log_power_young(p)
-        # the index ratio decays like 1/log(t); a wide grid is needed to
-        # resolve the limit p at infinity
-        compute_indices(phi, log_grid(1e-4, 9.9e43, 4000))
         upsilon = power_young(r + 1.0)
         reaction = power_singular_reaction(r, c2=1.0, gamma=gamma)
         mu = _auto_mu(phi, upsilon)
@@ -468,8 +462,7 @@ def builtin_example(name: str, *, p: float = 3.0, N: int = 4, r: float = 3.5,
         upsilon = build_pathological(PathologicalParams.make(r_idx, s_idx, eps_ups))
         reaction = upsilon_ratio_reaction(upsilon, c2=1.0, gamma=gamma)
         mu = _auto_mu(phi, upsilon)
-        R = _find_ar_threshold(mu, gamma, upsilon,
-                               (upsilon.indices or compute_indices(upsilon)).lower)
+        R = _find_ar_threshold(mu, gamma, upsilon, upsilon.indices.lower)
         return ProblemSpec(phi, reaction, upsilon, c1=1.0, mu=mu,
                            ar_threshold=R, lam=1.0, n_dim=N,
                            grid=Grid(n_interior, length), seed=seed,
@@ -481,8 +474,7 @@ def builtin_example(name: str, *, p: float = 3.0, N: int = 4, r: float = 3.5,
         upsilon = build_pathological(PathologicalParams.make(3.0, 2.5, eps))
         reaction = upsilon_ratio_reaction(upsilon, c2=1.0, gamma=gamma)
         mu = _auto_mu(phi, upsilon)
-        R = _find_ar_threshold(mu, gamma, upsilon,
-                               (upsilon.indices or compute_indices(upsilon)).lower)
+        R = _find_ar_threshold(mu, gamma, upsilon, upsilon.indices.lower)
         return ProblemSpec(phi, reaction, upsilon, c1=1.0, mu=mu,
                            ar_threshold=R, lam=1.0, n_dim=5,
                            grid=Grid(n_interior, length), seed=seed,
@@ -608,7 +600,6 @@ def _problem_from_config(parser: configparser.ConfigParser):
         if p <= 1.0:
             raise ConfigError(f"operator log_power needs p > 1, got {p}")
         phi = log_power_young(p)
-        compute_indices(phi, log_grid(1e-4, 9.9e43, 4000))
     elif kind == "pathological":
         q = _getfloat(op, "q")
         eps = _getfloat(op, "eps")
@@ -682,11 +673,10 @@ def _problem_from_config(parser: configparser.ConfigParser):
         except ConstructionError:
             # no admissible window; record a formally failing exponent so the
             # audit reports the failure instead of erroring out
-            mu = (phi.indices or compute_indices(phi)).upper
+            mu = phi.indices.upper
     if R is None:
         try:
-            i_ups = (upsilon.indices or compute_indices(upsilon)).lower
-            R = _find_ar_threshold(mu, gamma, upsilon, i_ups)
+            R = _find_ar_threshold(mu, gamma, upsilon, upsilon.indices.lower)
         except ConstructionError:
             R = 1.0
 

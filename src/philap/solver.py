@@ -415,7 +415,7 @@ def uphill_endpoint(spec: ProblemSpec, trunc: TruncatedReaction,
     the scaled bump to drop eventually; the amplitude doubles until it
     does.  Hitting the doubling cap is the superlinearity diagnostic.
     """
-    s_phi = spec.phi_indices().upper
+    s_phi = spec.phi.indices.upper
     if not (spec.mu > s_phi):
         raise SolverError(
             f"superlinearity exponent mu={spec.mu:.4f} not above s_phi={s_phi:.4f}")
@@ -585,7 +585,7 @@ def mountain_pass(spec: ProblemSpec, trunc: TruncatedReaction,
                                 "derivative of the reaction")
     grid = spec.grid
     separation_ok = True
-    if r_star is not None and spec.phi.indices is not None:
+    if r_star is not None:
         pair = spec.phi.indices
         rho = r_star ** (1.0 / pair.lower) if r_star >= 1.0 else r_star ** (1.0 / pair.upper)
         dist = luxemburg_of(spec.phi, _slopes(grid, u1.values - u0_state.u.values), grid.h)
@@ -784,8 +784,8 @@ def first_stage(spec: ProblemSpec, stage: ThresholdStage, tol_first: float = 1e-
                                          tol=tol_first, max_iter=max_iter)
     if not flags["converged"]:
         raise SolverError(f"first solution stalled at residual {first.residual:.3e}")
-    p_exp = spec.phi_star_indices().lower
-    r_exp = p_exp / spec.phi_indices().upper
+    p_exp = spec.phi_star.indices.lower
+    r_exp = p_exp / spec.phi.indices.upper
     dg = degiorgi_bound(first.u, p_exp, r_exp,
                         k_start=max(0.6 * first.u.sup_norm(), 1e-9))
     return FirstStage(**vars(stage), sub=sub, trunc=trunc, first=first, first_flags=flags,

@@ -20,7 +20,6 @@ from .problems import ProblemSpec
 from .young import (
     Ordering,
     YoungFunction,
-    compute_indices,
     conjugate_inverse,
     first_window,
     ordering,
@@ -235,10 +234,6 @@ def lambda_star(spec: ProblemSpec, constants: TruncationConstants,
     """Threshold of admissible reaction weights for the classified case."""
     ups = spec.upsilon
     phi = spec.phi
-    if phi.indices is None:
-        compute_indices(phi)
-    if ups.indices is None:
-        compute_indices(ups)
     measure = spec.grid.measure
     diam = spec.grid.diameter
     base = dict(constants=constants, measure=measure, diameter=diam,
@@ -282,7 +277,6 @@ def lambda_star(spec: ProblemSpec, constants: TruncationConstants,
         m = _find_tail_m(ups, spec.phi_star, 1.0)
         c1_eff = constants.C1 + constants.C2 * float(ups(m))
         ups_hat = intermediate_function(ups, spec.phi_star)
-        compute_indices(ups_hat)
         target = ups_hat
 
     if ordering(target, spec.phi_star) is not Ordering.MUCH_LESS:
@@ -295,8 +289,8 @@ def lambda_star(spec: ProblemSpec, constants: TruncationConstants,
     zk = float(scaling_bound_upper(target, k))
     A = c1_eff * measure + constants.C2 * zk
     B = constants.C2 * zk
-    s_ups = (target.indices or compute_indices(target)).upper
-    i_phi = (phi.indices or compute_indices(phi)).lower
+    s_ups = target.indices.upper
+    i_phi = phi.indices.lower
     theta = s_ups / i_phi - 1.0
     if theta <= 0.0:
         raise CaseContradictionError(

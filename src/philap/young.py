@@ -19,7 +19,6 @@ import numpy as np
 from .errors import (
     ConstructionError,
     EvalDomainError,
-    MissingIndicesError,
     OutOfRangeError,
     SingularIntegrandError,
 )
@@ -205,18 +204,26 @@ class YoungFunction:
     arguments, and non-finite results raise EvalDomainError instead of
     propagating infinities.  The value at 0 is 0 and the derivative at 0
     is taken as its one-sided limit 0.
+
+    The generator owns its growth indices: indices is the exact pair
+    given to the constructor, or else compute_indices on the log grid
+    index_grid = (lo, hi, points), or on compute_indices' default grid
+    when none is given.  It is computed on first read and kept, so every
+    caller sees the same pair whatever it computed before.
     """
 
     def __init__(self, value, derivative, second_derivative=None,
                  t_lo: float = EVAL_LO_DEFAULT, t_hi: float = EVAL_HI_DEFAULT,
-                 name: str = "psi"):
+                 name: str = "psi", indices: Optional[IndexPair] = None,
+                 index_grid: Optional[tuple[float, float, int]] = None):
         self._value = value
         self._derivative = derivative
         self._second = second_derivative
         self.t_lo = float(t_lo)
         self.t_hi = float(t_hi)
         self.name = name
-        self._indices: Optional[IndexPair] = None
+        self._indices = indices
+        self._index_grid = index_grid
 
     def __repr__(self):
         return f"YoungFunction({self.name}, domain=[{self.t_lo:.1e}, {self.t_hi:.1e}])"
@@ -226,11 +233,11 @@ class YoungFunction:
         return self._second is not None
 
     @property
-    def indices(self) -> Optional[IndexPair]:
+    def indices(self) -> IndexPair:
+        if self._indices is None:
+            grid = None if self._index_grid is None else log_grid(*self._index_grid)
+            self._indices = compute_indices(self, grid)
         return self._indices
-
-    def cache_indices(self, pair: IndexPair) -> None:
-        self._indices = pair
 
     def _apply(self, fn, t):
         arr = np.asarray(t, dtype=float)
@@ -283,14 +290,16 @@ def diverging_maxima(grid: np.ndarray, vals: np.ndarray) -> bool:
     return bool(np.all(np.diff(tail) > 0) and tail[-1] >= 8.0 * tail[0])
 
 
-def compute_indices(psi: YoungFunction, grid: Optional[np.ndarray] = None,
-                    cache: bool = True) -> IndexPair:
-    """Growth indices of psi sampled on a log grid.
+def compute_indices(psi: YoungFunction, grid: Optional[np.ndarray] = None) -> IndexPair:
+    """Growth indices of psi sampled on a log grid; psi is left unchanged.
 
     lower/upper are grid extrema of t psi'(t)/psi(t); the at-infinity
     estimates come from the top two decades.  A monotone, fast-growing
     trend of per-decade maxima marks an unbounded ratio and reports the
-    upper estimates as infinity.
+    upper estimates as infinity.  The default grid has INDEX_GRID_POINTS
+    points on [INDEX_GRID_LO, INDEX_GRID_HI], cut to psi's domain.  The
+    pair a generator keeps is psi.indices; an explicit grid gives a
+    one-off pair.
     """
     if grid is None:
         hi = min(INDEX_GRID_HI, psi.t_hi)
@@ -316,36 +325,26 @@ def compute_indices(psi: YoungFunction, grid: Optional[np.ndarray] = None,
     if diverging_maxima(grid, ratio):
         upper = math.inf
         at_up = math.inf
-    pair = IndexPair(lower, upper, at_lo, at_up)
-    if cache:
-        psi.cache_indices(pair)
-    return pair
-
-
-def _require_indices(psi: YoungFunction) -> IndexPair:
-    if psi.indices is None:
-        raise MissingIndicesError(
-            f"{psi.name}: call compute_indices before using index-based bounds")
-    return psi.indices
+    return IndexPair(lower, upper, at_lo, at_up)
 
 
 def scaling_bound_lower(psi: YoungFunction, k) -> np.ndarray:
-    """min(k^i, k^s) with (i, s) the cached growth indices of psi."""
-    pair = _require_indices(psi)
+    """min(k^i, k^s) with (i, s) the growth indices of psi."""
+    pair = psi.indices
     k = np.asarray(k, dtype=float)
     return np.minimum(k ** pair.lower, k ** pair.upper)
 
 
 def scaling_bound_upper(psi: YoungFunction, k) -> np.ndarray:
-    """max(k^i, k^s) with (i, s) the cached growth indices of psi."""
-    pair = _require_indices(psi)
+    """max(k^i, k^s) with (i, s) the growth indices of psi."""
+    pair = psi.indices
     k = np.asarray(k, dtype=float)
     return np.maximum(k ** pair.lower, k ** pair.upper)
 
 
 def delta2_nabla2(psi: YoungFunction) -> tuple[bool, bool]:
     """Doubling flags from the at-infinity estimates of the index ratio."""
-    pair = _require_indices(psi)
+    pair = psi.indices
     return (math.isfinite(pair.at_infinity_upper), pair.at_infinity_lower > 1.0)
 
 
@@ -435,9 +434,7 @@ def ordering(psi1: YoungFunction, psi2: YoungFunction) -> Ordering:
     psi2 once on all its windows.  NEITHER is a valid answer.
     """
     try:
-        p1 = psi1.indices or compute_indices(psi1)
-        p2 = psi2.indices or compute_indices(psi2)
-        if p1.upper < p2.lower - 1e-9:
+        if psi1.indices.upper < psi2.indices.lower - 1e-9:
             return Ordering.MUCH_LESS
     except (EvalDomainError, ConstructionError):
         pass
@@ -465,18 +462,26 @@ def ordering(psi1: YoungFunction, psi2: YoungFunction) -> Ordering:
 
 
 def power_young(p: float, coeff: float = 1.0, name: Optional[str] = None) -> YoungFunction:
-    """c t^p with exact cached indices (p, p)."""
+    """c t^p with exact indices (p, p).
+
+    The trusted range ends at 1e30, or lower where the value or a
+    derivative, or the power of t inside it, would pass a quarter of the
+    largest double: about 10^(307.6/p) for p above 10.
+    """
     if not (1.0 < p < math.inf and coeff > 0.0):
         raise ConstructionError(f"power generator needs finite p > 1 and coeff > 0, got p={p}")
-    psi = YoungFunction(
+    terms = ((coeff, p), (coeff * p, p - 1.0), (coeff * p * (p - 1.0), p - 2.0))
+    with np.errstate(over="ignore"):  # a limit past the largest double is no limit
+        limits = [(np.finfo(float).max / 4.0 / max(c, 1.0)) ** (1.0 / e)
+                  for c, e in terms if e > 0.0]
+    t_hi = min(EVAL_HI_DEFAULT, *limits)
+    return YoungFunction(
         lambda t: coeff * t ** p,
         lambda t: coeff * p * t ** (p - 1.0),
         lambda t: coeff * p * (p - 1.0) * t ** (p - 2.0),
         t_lo=1e-30,  # powers stay accurate far below the generic floor and
         # their critical conjugates need the long tables it enables
-        name=name or f"{coeff:g}*t^{p:g}")
-    psi.cache_indices(IndexPair(p, p, p, p))
-    return psi
+        t_hi=t_hi, name=name or f"{coeff:g}*t^{p:g}", indices=IndexPair(p, p, p, p))
 
 
 def power_over_p_young(p: float) -> YoungFunction:
@@ -661,7 +666,13 @@ def cumulative_primitive(fn, cache_lo: float, cache_hi: float, per_decade: int =
 
 
 def log_power_young(p: float, t_hi: float = 1e44) -> YoungFunction:
-    """Primitive of t^{p-1} log(1+t); indices p and p+1."""
+    """Primitive of t^{p-1} log(1+t); indices p and p+1.
+
+    The index ratio falls to its limit p at infinity only like 1/log(t), so
+    the indices are sampled on 4000 log-spaced points from 1e-4 to just
+    below the top of the trusted range (9.9e43 by default), not on
+    compute_indices' default grid.
+    """
     if not (1.0 < p < math.inf):
         raise ConstructionError(f"log-power generator needs finite p > 1, got {p}")
 
@@ -672,8 +683,10 @@ def log_power_young(p: float, t_hi: float = 1e44) -> YoungFunction:
         return (p - 1.0) * t ** (p - 2.0) * np.log1p(t) + t ** (p - 1.0) / (1.0 + t)
 
     cache_hi = min(1e46, t_hi * 100.0)
+    top = min(t_hi, cache_hi / 2.0)
     return YoungFunction(cumulative_primitive(phi, 1e-12, cache_hi), phi, phi_prime, t_lo=1e-25,
-                         t_hi=min(t_hi, cache_hi / 2.0), name=f"int t^{p - 1:g} log(1+t)")
+                         t_hi=top, name=f"int t^{p - 1:g} log(1+t)",
+                         index_grid=(1e-4, 0.99 * top, 4000))
 
 
 # ---------------------------------------------------------------------------
@@ -728,7 +741,7 @@ def sobolev_conjugate(phi: YoungFunction, n_dim: int) -> YoungFunction:
     e_head = float(phi(tau_lo)) / (tau_lo * float(phi.prime(tau_lo))) - expo
     tau0 = tau_lo
     if e_head <= -1.0 + 1e-6:
-        pair = phi.indices or compute_indices(phi)
+        pair = phi.indices
         if pair.lower >= n_dim:
             raise SingularIntegrandError(
                 f"{phi.name}: inverse integral diverges at 0 and the lower index "

@@ -86,6 +86,20 @@ def test_sobolev_conjugate_command(tmp_path):
     assert (tmp_path / "out" / "sobolev_conjugate.csv").exists()
 
 
+def test_sobolev_conjugate_log_power_is_the_a5_conjugate(tmp_path, capsys):
+    # the command and the A5 pipeline build one critical conjugate of the
+    # same generator, so the table and the indices line agree bit for bit
+    code = main(["sobolev-conjugate", "--builtin", "log-power", "--p", "3", "--N", "4",
+                 "--out", str(tmp_path / "out")])
+    assert code == 0
+    star = philap.builtin_example("A5", p=3.0, N=4).phi_star
+    ts = philap.log_grid(star.t_lo * 1.01, star.t_hi * 0.99, 200)
+    rows = (tmp_path / "out" / "sobolev_conjugate.csv").read_text().splitlines()
+    assert rows[1:] == [f"{t:.12g},{v:.12g}" for t, v in zip(ts, star(ts))]
+    pair = star.indices
+    assert f"indices [{pair.lower:.4g}, {pair.upper:.4g}]" in capsys.readouterr().out
+
+
 def test_check_a5_passes(a5_config, tmp_path):
     code = main(["check", "--config", str(a5_config), "--out", str(tmp_path / "o")])
     assert code == 0

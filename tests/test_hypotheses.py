@@ -225,7 +225,7 @@ def test_a5_growth_index_bracketing(a5_spec):
     # sampled on one common grid so the pointwise identity transfers
     grid = ph.log_grid(1e-4, 1e6, 2000)
     entry = check_ha1(a5_spec.a, a5_spec.a_prime, grid)
-    pair = ph.compute_indices(a5_spec.phi, grid, cache=False)
+    pair = ph.compute_indices(a5_spec.phi, grid)
     # the generator ratio averages the operator ratio over (0, t), so the
     # bracketing holds only up to the sampling error of the window edges
     assert entry.data["inf"] + 2.0 <= pair.lower + 1e-3

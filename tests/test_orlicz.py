@@ -64,7 +64,6 @@ def test_modular_constant_one(grid):
 
 
 def test_modular_norm_sandwich(pathological, grid):
-    ph.compute_indices(pathological)
     rng = np.random.default_rng(21)
     for _ in range(25):
         u = ph.GridFunction(grid, rng.uniform(0.2, 3.0, grid.n_interior))

@@ -11,7 +11,7 @@ import philap as ph
 from philap import problems, threshold
 from philap.errors import CaseContradictionError, ConstructionError, PhilapError
 from philap.problems import HF1_NEAR_ZERO, check_hf1, load_problem
-from philap.young import Ordering, compute_indices, first_window, ordering
+from philap.young import Ordering, first_window, ordering
 
 ROOT = Path(__file__).resolve().parents[1]
 CONFIGS = ROOT / "configs"
@@ -50,9 +50,7 @@ def fixtures():
 
 def ref_ordering(psi1, psi2):
     try:
-        p1 = psi1.indices or compute_indices(psi1)
-        p2 = psi2.indices or compute_indices(psi2)
-        if p1.upper < p2.lower - 1e-9:
+        if psi1.indices.upper < psi2.indices.lower - 1e-9:
             return Ordering.MUCH_LESS
     except (ph.EvalDomainError, ConstructionError):
         pass
@@ -137,7 +135,7 @@ def test_first_window_contract():
 
 def test_ar_threshold_matches_loop(fixtures):
     for name, spec in fixtures.items():
-        args = (spec.mu, spec.gamma, spec.upsilon, spec.upsilon_indices().lower)
+        args = (spec.mu, spec.gamma, spec.upsilon, spec.upsilon.indices.lower)
         assert outcome(problems._find_ar_threshold, *args) == outcome(ref_ar_threshold, *args), name
 
 

@@ -204,9 +204,9 @@ def test_intermediate_index_average(greater_case):
     lo = max(spec.upsilon.t_lo, spec.phi_star.t_lo) * 2.0
     hi = min(spec.upsilon.t_hi, spec.phi_star.t_hi) / 2.0
     grid = ph.log_grid(lo, hi, 1200) if hi / lo >= 1e8 else ph.log_grid(lo, hi, 1200)
-    pu = ph.compute_indices(spec.upsilon, grid, cache=False)
-    ps = ph.compute_indices(spec.phi_star, grid, cache=False)
-    pm = ph.compute_indices(hat, grid, cache=False)
+    pu = ph.compute_indices(spec.upsilon, grid)
+    ps = ph.compute_indices(spec.phi_star, grid)
+    pm = ph.compute_indices(hat, grid)
     assert pm.lower >= 0.5 * (pu.lower + ps.lower) - 1e-9
     assert pm.upper <= 0.5 * (pu.upper + ps.upper) + 1e-9
 

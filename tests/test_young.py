@@ -11,7 +11,6 @@ from philap import Ordering, young
 from philap.errors import (
     ConstructionError,
     EvalDomainError,
-    MissingIndicesError,
     OutOfRangeError,
 )
 from philap.problems import upsilon_ratio_reaction
@@ -45,6 +44,21 @@ def test_indices_sum_of_powers_approach_analytic_limits():
     assert 2.999 < narrow.upper < wide.upper < 3.0
 
 
+def test_compute_indices_leaves_the_generator_unchanged():
+    def fresh():
+        return ph.build_pathological(ph.PathologicalParams.make(3.0, 2.0, 1.9))
+    psi = fresh()
+    one_off = ph.compute_indices(psi, ph.log_grid(1e-2, 1e8, 1500))
+    assert one_off != fresh().indices
+    assert psi.indices == fresh().indices
+
+
+def test_log_power_indices_sampled_up_to_the_trusted_range():
+    psi = ph.log_power_young(3.0)
+    assert psi.indices == ph.compute_indices(psi, ph.log_grid(1e-4, 9.9e43, 4000))
+    assert psi.indices != ph.compute_indices(psi)  # the default grid ends at 1e6
+
+
 def test_indices_grid_preconditions():
     psi = ph.power_young(2.0)
     with pytest.raises(ConstructionError):
@@ -75,17 +89,24 @@ def test_scaling_bounds_trivial_cases():
         assert ph.scaling_bound_lower(psi, k) * psi(t) == pytest.approx(psi(k * t))
 
 
-def test_scaling_bounds_require_indices():
-    psi = ph.YoungFunction(lambda t: t ** 2, lambda t: 2 * t, name="fresh")
-    with pytest.raises(MissingIndicesError):
-        ph.scaling_bound_lower(psi, 2.0)
+def test_scaling_bounds_on_fresh_generator_equal_those_after_reading_indices():
+    def fresh():
+        return ph.YoungFunction(lambda t: t ** 2 + t ** 3, lambda t: 2 * t + 3 * t ** 2,
+                                name="fresh")
+    k = np.array([0.1, 0.5, 2.0, 30.0])
+    read = fresh()
+    pair = read.indices
+    assert read.indices is pair  # computed once, then kept
+    for bound in (ph.scaling_bound_lower, ph.scaling_bound_upper):
+        assert np.array_equal(bound(fresh(), k), bound(read, k))
 
 
 def test_factor_bounds_on_pathological(pathological):
     # the exact limits are q = 2 and p = 3; the sandwiched inequality then
     # holds with the true index pair at every sample
-    psi = ph.build_pathological(ph.PathologicalParams.make(3.0, 2.0, 1.9))
-    psi.cache_indices(ph.IndexPair(2.0, 3.0, 2.0, 3.0))
+    base = ph.build_pathological(ph.PathologicalParams.make(3.0, 2.0, 1.9))
+    psi = ph.YoungFunction(base, base.prime, name=base.name,
+                           indices=ph.IndexPair(2.0, 3.0, 2.0, 3.0))
     rng = np.random.default_rng(11)
     k = rng.uniform(0.05, 50.0, size=100)
     t = rng.uniform(0.05, 50.0, size=100)
@@ -98,12 +119,10 @@ def test_factor_bounds_on_pathological(pathological):
 
 def test_delta2_nabla2_flags():
     psi = ph.power_young(3.0)
-    ph.compute_indices(psi)
     assert ph.delta2_nabla2(psi) == (True, True)
 
 
 def test_delta2_nabla2_pathological(pathological):
-    ph.compute_indices(pathological)
     assert ph.delta2_nabla2(pathological) == (True, True)
 
 
@@ -280,6 +299,21 @@ def test_sobolev_conjugate_log_power_exceeds_critical(a5_spec):
     pair = a5_spec.phi_star_indices()
     assert pair.lower >= 12.0 - 1e-2
     assert a5_spec.phi_indices().upper < pair.lower
+
+
+@pytest.mark.parametrize("grid", [None, ph.log_grid(1e-4, 1e6, 2000),
+                                  ph.log_grid(1e-4, 9.9e43, 4000)])
+def test_sobolev_conjugate_log_power_independent_of_prior_index_calls(grid):
+    # the patched head takes the generator's own lower index, whatever
+    # compute_indices was asked before
+    fresh = ph.sobolev_conjugate(ph.log_power_young(3.0), 4)
+    psi = ph.log_power_young(3.0)
+    ph.compute_indices(psi, grid)
+    star = ph.sobolev_conjugate(psi, 4)
+    assert (star.t_lo, star.t_hi) == (fresh.t_lo, fresh.t_hi)
+    ts = ph.log_grid(star.t_lo, star.t_hi, 2001)
+    assert np.array_equal(star(ts), fresh(ts))
+    assert np.array_equal(star.prime(ts), fresh.prime(ts))
 
 
 @pytest.mark.parametrize("generator", ["power", "log-power", "pathological"])
@@ -527,10 +561,30 @@ def test_ordering_power_pairs():
     assert ph.ordering(t3, t2) is Ordering.NEITHER
 
 
+def test_power_trusted_range_stays_finite():
+    # t^p overflows above about 10^(308/p); the trusted range ends below
+    # that, and stays at 1e30 for p <= 10
+    for p in np.linspace(1.5, 30.0, 60):
+        for coeff in (1.0, 1.0 / p):
+            psi = ph.power_young(p, coeff)
+            t = psi.t_hi
+            assert (p > 10.0) or t == 1e30
+            for fn in (psi, psi.prime, psi.second):
+                assert math.isfinite(fn(t)), (p, coeff, fn)
+            with pytest.raises(EvalDomainError):
+                psi(t * 1.01)
+
+
+def test_ordering_steep_power_against_log_power():
+    # audit-sweep A5 draw 7 at seed 1: envelope t^(r+1) with r + 1 near 12
+    verdict = ph.ordering(ph.power_young(11.97591669665383),
+                          ph.log_power_young(3.794770059403826))
+    assert isinstance(verdict, Ordering)
+
+
 def test_ordering_index_shortcut(pathological):
     # gap between the upper index of the oscillating generator (3) and a
     # power envelope above it triggers the shortcut without a tail scan
-    ph.compute_indices(pathological)
     assert ph.ordering(pathological, ph.power_young(4.5)) is Ordering.MUCH_LESS
 
 

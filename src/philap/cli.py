@@ -140,7 +140,7 @@ def _cmd_conjugate(args) -> int:
     err = np.abs(back(ts) - vals) / vals
     out = _outdir(args)
     write_table(out / "conjugate.csv", ["t", "value", "conjugate", "involution_rel_err"],
-                zip(ts, vals, conj(ts), err))
+                zip(ts.tolist(), vals.tolist(), conj(ts).tolist(), err.tolist()))
     _write_manifest(out, f"conjugate:{psi.name}", _NO_CONFIG)
     print(f"conjugate of {psi.name} written; worst involution error on [1e-3,1e3] "
           f"= {err.max():.3e}")
@@ -157,7 +157,8 @@ def _cmd_sobolev_conjugate(args) -> int:
     hi = star.t_hi * 0.99
     ts = log_grid(lo, hi, 200)
     out = _outdir(args)
-    write_table(out / "sobolev_conjugate.csv", ["t", "phi_star"], zip(ts, star(ts)))
+    write_table(out / "sobolev_conjugate.csv", ["t", "phi_star"],
+                zip(ts.tolist(), star(ts).tolist()))
     _write_manifest(out, f"sobolev:{psi.name}:N={args.N}", _NO_CONFIG)
     print(f"critical conjugate of {psi.name} (N={args.N}): "
           f"indices [{pair.lower:.4g}, {pair.upper:.4g}]")

@@ -14,7 +14,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import ConstructionError, EvalDomainError
-from .young import YoungFunction, _regula_falsi
+from .young import MAX_GRID_POINTS, YoungFunction, _regula_falsi
 
 __all__ = [
     "Grid",
@@ -55,6 +55,9 @@ class Grid:
             raise ConstructionError(
                 f"grid needs n_interior >= 1 and finite length > 0, got "
                 f"{self.n_interior}, {self.length}")
+        if self.n_interior > MAX_GRID_POINTS:
+            raise ConstructionError(
+                f"grid of {self.n_interior} interior nodes exceeds {MAX_GRID_POINTS}")
 
     @property
     def h(self) -> float:
@@ -254,11 +257,9 @@ def estimate_embedding_constant(phi: YoungFunction, target: YoungFunction,
     return safety * float(np.fmax.reduce(numer / denom[keep], initial=0.0))
 
 
-def _field(v) -> str:
-    """A float as .12g; anything else as its text, quoted where it holds a
-    comma, a quote or a newline, as csv.writer quotes it."""
-    if isinstance(v, float):
-        return f"{v:.12g}"
+def _text(v) -> str:
+    """str(v), quoted where it holds a comma, a quote or a newline, as
+    csv.writer quotes it."""
     text = str(v)
     if "," in text or '"' in text or "\n" in text:
         return '"' + text.replace('"', '""') + '"'
@@ -266,6 +267,19 @@ def _field(v) -> str:
 
 
 def write_table(path, header, rows) -> None:
-    """CSV file with a header row and LF line endings; floats as .12g."""
+    """CSV file with a header row and LF line endings.  Each row is one
+    %-format built from its cell types: floats (np.float64 too) as %.12g,
+    which prints as f"{v:.12g}", and every other cell as _text."""
+    formats, lines = {}, []
     with open(path, "w", newline="\n") as fh:
-        fh.writelines(",".join(map(_field, row)) + "\n" for row in (header, *rows))
+        for row in (header, *rows):
+            row = tuple(row)
+            kinds = tuple(map(type, row))
+            fmt = formats.get(kinds)
+            if fmt is None:
+                fmt = formats[kinds] = ",".join(
+                    "%.12g" if issubclass(k, float) else "%s" for k in kinds) + "\n"
+            if "%s" in fmt:
+                row = tuple(v if isinstance(v, float) else _text(v) for v in row)
+            lines.append(fmt % row)
+        fh.write("".join(lines))

@@ -822,8 +822,8 @@ def two_solution_pipeline(spec: ProblemSpec, lam: Optional[float] = None,
 
 def write_solution_csv(path, grid: Grid, columns: dict) -> None:
     """Columns over padded nodes (boundary rows as zeros)."""
-    xs = np.concatenate([[0.0], grid.nodes, [grid.length]])
-    padded = [np.concatenate([[0.0], np.asarray(v, dtype=float), [0.0]])
+    xs = np.concatenate([[0.0], grid.nodes, [grid.length]]).tolist()
+    padded = [np.concatenate([[0.0], np.asarray(v, dtype=float), [0.0]]).tolist()
               for v in columns.values()]
     write_table(path, ["x", *columns], zip(xs, *padded))
 

@@ -68,6 +68,10 @@ INDEX_GRID_POINTS = 2000
 # within 3 + 2 * (52 + 3.51) < 115 rounds; the rest is room for rounding.
 ROOT_RTOL_ITERS = 120
 ROOT_GRID = 129  # points of the log grid that brackets each target in one cell
+# largest sample grid, log or uniform, checked before anything is allocated:
+# indices on 2**22 points peaks near 0.3 GB, lambda-star on a 10**6-node grid
+# near 1.1 GB
+MAX_GRID_POINTS = 2 ** 22
 GL_NODES = np.array([-0.8611363115940526, -0.33998104358485626, 0.33998104358485626,
                      0.8611363115940526])
 GL_WEIGHTS = np.array([0.34785484513745357, 0.6521451548625464, 0.6521451548625464,
@@ -78,6 +82,8 @@ def log_grid(lo: float, hi: float, n: int) -> np.ndarray:
     """Log-spaced sample grid on [lo, hi]."""
     if not (0.0 < lo < hi) or n < 2:
         raise ConstructionError(f"invalid log grid [{lo}, {hi}] with {n} points")
+    if n > MAX_GRID_POINTS:
+        raise ConstructionError(f"log grid of {n} points exceeds {MAX_GRID_POINTS}")
     return np.geomspace(lo, hi, n)
 
 
@@ -281,9 +287,10 @@ class YoungFunction:
 def diverging_maxima(grid: np.ndarray, vals: np.ndarray) -> bool:
     """True when the per-decade maxima of vals keep growing: a monotone run
     growing by >= 8x across the last four decades marks a ratio that is
-    unbounded at infinity."""
-    buckets = np.floor(np.log10(grid)).astype(int)
-    maxima = np.array([vals[buckets == b].max() for b in np.unique(buckets)])
+    unbounded at infinity.  grid is increasing, so each decade is one run
+    of it and one reduceat takes every maximum."""
+    buckets = np.floor(np.log10(grid))
+    maxima = np.maximum.reduceat(vals, np.flatnonzero(np.diff(buckets, prepend=-np.inf)))
     if maxima.size < 4:
         return False
     tail = maxima[-4:]
@@ -307,7 +314,9 @@ def compute_indices(psi: YoungFunction, grid: Optional[np.ndarray] = None) -> In
         lo = max(lo, psi.t_lo)
         grid = log_grid(lo, hi, INDEX_GRID_POINTS)
     grid = np.asarray(grid, dtype=float)
-    decades = math.log10(grid[-1] / grid[0])
+    if not grid[0] > 0.0:
+        raise ConstructionError(f"index grid must start above 0, got {grid[0]}")
+    decades = math.log10(grid[-1]) - math.log10(grid[0])
     if grid.size < 1000 or decades < 8.0 - 1e-9:
         raise ConstructionError(
             f"index grid needs >= 1000 points over >= 8 decades, got {grid.size} over {decades:.2f}")
@@ -540,40 +549,51 @@ def build_pathological(params: PathologicalParams) -> YoungFunction:
     E = math.e
     shift = b * eps / (1.0 + eps * eps)
 
-    def eta_pieces(t: np.ndarray):
-        """Return (eta, t*eta', t^2*eta'') evaluated branchwise."""
-        t = np.asarray(t, dtype=float)
-        eta = np.empty_like(t)
-        teta1 = np.empty_like(t)
-        t2eta2 = np.empty_like(t)
+    def low_pieces(t, order: int) -> list:
+        pieces = [b * eps / (2.0 * E * E) * (E - t) ** 2 - shift]
+        if order > 0:
+            pieces.append(b * eps / (E * E) * t * (t - E))
+        if order > 1:
+            pieces.append(b * eps / (E * E) * t * t)
+        return pieces
+
+    def high_pieces(t, order: int) -> list:
+        lt = np.log(t)
+        z = eps * np.log(lt)
+        sin_z = np.sin(z)
+        cos_z = np.cos(z)
+        pieces = [b * lt / (1.0 + eps * eps) * (sin_z - eps * cos_z)]
+        if order > 0:
+            pieces.append(b * sin_z)
+        if order > 1:
+            pieces.append(b * ((eps / lt) * cos_z - sin_z))
+        return pieces
+
+    def eta_pieces(t: np.ndarray, order: int) -> list:
+        """The first order + 1 of (eta, t*eta', t^2*eta''), branchwise.  An
+        array on one side of e is evaluated whole; one that straddles e is
+        split by a mask and scattered back."""
+        if t.max(initial=0.0) <= E:
+            return low_pieces(t, order)
+        if t.min() > E:
+            return high_pieces(t, order)
         low = t <= E
-        if low.any():
-            tl = t[low]
-            eta[low] = b * eps / (2.0 * E * E) * (E - tl) ** 2 - shift
-            teta1[low] = b * eps / (E * E) * tl * (tl - E)
-            t2eta2[low] = b * eps / (E * E) * tl * tl
-        hig = ~low
-        if hig.any():
-            th = t[hig]
-            lt = np.log(th)
-            z = eps * np.log(lt)
-            sin_z = np.sin(z)
-            cos_z = np.cos(z)
-            eta[hig] = b * lt / (1.0 + eps * eps) * (sin_z - eps * cos_z)
-            teta1[hig] = b * sin_z
-            t2eta2[hig] = b * ((eps / lt) * cos_z - sin_z)
-        return eta, teta1, t2eta2
+        pieces = [np.empty_like(t) for _ in range(order + 1)]
+        for mask, branch in ((low, low_pieces), (~low, high_pieces)):
+            for out, piece in zip(pieces, branch(t[mask], order)):
+                out[mask] = piece
+        return pieces
 
     def value(t):
-        eta, _, _ = eta_pieces(t)
+        eta, = eta_pieces(t, 0)
         return t ** a * np.exp(eta)
 
     def derivative(t):
-        eta, teta1, _ = eta_pieces(t)
+        eta, teta1 = eta_pieces(t, 1)
         return t ** (a - 1.0) * np.exp(eta) * (a + teta1)
 
     def second(t):
-        eta, teta1, t2eta2 = eta_pieces(t)
+        eta, teta1, t2eta2 = eta_pieces(t, 2)
         first = t ** (a - 1.0) * np.exp(eta) * (a + teta1)
         return first / t * (a - 1.0 + teta1 + (t2eta2 + teta1) / (a + teta1))
 

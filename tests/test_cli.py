@@ -242,7 +242,7 @@ def test_tolerance_registry_follows_the_constants():
     "solver.seed=-1", "hypotheses.t_max=0", "hypotheses.t_max=-5",
     "grid.length=nan", "grid.length=inf", "solver.tol_first=0",
     "solver.tol_first=nan", "solver.tol_mountain=0", "solver.max_iter=0",
-    "operator.N=nan", "operator.N=inf"])
+    "operator.N=nan", "operator.N=inf", "grid.n_interior=100000000000"])
 def test_config_load_errors_exit_two(a5_config, tmp_path, capsys, override):
     code = main(["lambda-star", "--config", str(a5_config), "--override", override,
                  "--out", str(tmp_path / "o")])
@@ -262,13 +262,37 @@ def test_config_load_errors_exit_two(a5_config, tmp_path, capsys, override):
     ["indices", "--builtin", "power", "--p", "nan"],
     ["sobolev-conjugate", "--builtin", "power", "--p", "inf"],
     ["indices", "--builtin", "log-power", "--p", "inf"],
-    ["indices", "--builtin", "log-power", "--p", "nan"]])
+    ["indices", "--builtin", "log-power", "--p", "nan"],
+    ["indices", "--builtin", "power", "--p", "2", "--grid-n", "100000000000"]])
 def test_builtin_argument_errors_exit_two(tmp_path, capsys, argv):
     code = main(argv + ["--out", str(tmp_path / "o")])
     err = capsys.readouterr().err
     assert code == 2
     assert err.startswith("configuration error:")
     assert "Traceback" not in err
+
+
+def test_grid_sizes_are_bounded_before_allocation():
+    from philap import young
+    from philap.errors import ConstructionError
+
+    # the largest grid is accepted: its nodes are built only on demand
+    assert philap.Grid(young.MAX_GRID_POINTS).n_interior == young.MAX_GRID_POINTS
+    with pytest.raises(ConstructionError, match="exceeds"):
+        philap.Grid(young.MAX_GRID_POINTS + 1)
+    with pytest.raises(ConstructionError, match="exceeds"):
+        young.log_grid(1.0, 2.0, young.MAX_GRID_POINTS + 1)
+
+
+def test_wide_index_grid_is_one_error_line(tmp_path, capsys):
+    # 1e300 / 1e-300 overflows, so the decade span must not be taken as a quotient
+    code = main(["indices", "--builtin", "power", "--p", "2", "--grid-lo", "1e-300",
+                 "--grid-hi", "1e300", "--grid-n", "5000", "--out", str(tmp_path / "o")])
+    assert code == 1
+    assert capsys.readouterr().err == "error: 1*t^2: non-finite index ratio on sample grid\n"
+    from philap.errors import EvalDomainError
+    with pytest.raises(EvalDomainError):  # warnings are errors under pytest
+        philap.compute_indices(philap.power_young(2.0), philap.log_grid(1e-300, 1e300, 5000))
 
 
 def test_unmet_mountain_tolerance_is_named(a5_config, tmp_path, capsys):

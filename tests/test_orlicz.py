@@ -1,6 +1,8 @@
 """Discrete grid space: modulars, Luxemburg norms, gradients, embedding."""
 
+import math
 import re
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -431,3 +433,52 @@ def test_write_table_matches_csv_writer(tmp_path):
     writer.writerows([f"{v:.12g}" if isinstance(v, float) else v for v in row]
                      for row in rows)
     assert path.read_bytes() == expected.getvalue().encode()
+
+
+def _csv_writer_bytes(header, rows) -> bytes:
+    """The oracle: csv.writer on the .12g strings of the floats and the
+    str of every other cell."""
+    import csv
+    import io
+
+    expected = io.StringIO()
+    writer = csv.writer(expected, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows([f"{v:.12g}" if isinstance(v, float) else str(v) for v in row]
+                     for row in rows)
+    return expected.getvalue().encode()
+
+
+def test_write_table_floats_match_csv_writer(tmp_path):
+    rng = np.random.default_rng(11)
+    bits = rng.integers(0, 2 ** 64, size=(4000, 4), dtype=np.uint64, endpoint=False)
+    special = [0.0, -0.0, math.inf, -math.inf, math.nan, 5e-324, -5e-324, 2.2e-308,
+               -1e-310, 1.8e308, -1.8e308, sys.float_info.max, -sys.float_info.max]
+    table = np.concatenate([bits.view(np.float64),
+                            np.reshape(special + [1.0 / 3.0] * 3, (-1, 4))])
+    header = ["a", "b", "c", "d"]
+    expected = _csv_writer_bytes(header, table.tolist())
+    path = tmp_path / "t.csv"
+    # Python floats, np.float64 cells, and the 2-D ndarray rows of kappa_curve
+    for rows in (table.tolist(), [list(row) for row in table], table):
+        assert _csv_writer_bytes(header, rows) == expected
+        orlicz.write_table(path, header, rows)
+        assert path.read_bytes() == expected
+
+
+def test_write_table_cell_types_may_change_between_rows(tmp_path):
+    # threshold.csv: r_star a float, then None; convergence.csv: an int
+    # iteration next to floats, numpy or not
+    header = ["case", "A", "theta", "lambda", "r_star"]
+    rows = [["much_greater", 1.5, "", 0.25, 2.4564912],
+            ["much_greater", np.float64(1.5), 3.0, 0.25, None],
+            ["case, quoted", "", "", np.float64(0.5), 7.0],
+            [3, np.float64(-0.0134), 2.5e-7, 1.0, np.float64(math.inf)],
+            [4, -0.0134, np.float64(1e-9), True, 0.0],
+            [np.int64(5), 1.0, 2.0, 3.0, 4.0]]
+    path = tmp_path / "t.csv"
+    orlicz.write_table(path, header, rows)
+    assert path.read_bytes() == _csv_writer_bytes(header, rows)
+    orlicz.write_table(path, ["r", "kappa_bound"],
+                       np.column_stack([np.arange(3.0), [1e-5, 2.0, 3e300]]))
+    assert path.read_bytes() == b"r,kappa_bound\n0,1e-05\n1,2\n2,3e+300\n"

@@ -65,6 +65,9 @@ def test_indices_grid_preconditions():
         ph.compute_indices(psi, ph.log_grid(1e-2, 1e2, 2000))  # 4 decades only
     with pytest.raises(ConstructionError):
         ph.compute_indices(psi, ph.log_grid(1e-4, 1e6, 500))  # too few points
+    for start in (0.0, -1.0):
+        with pytest.raises(ConstructionError):
+            ph.compute_indices(psi, np.linspace(start, 1e9, 2000))
 
 
 def test_indices_nonfinite_ratio_raises():
@@ -647,6 +650,96 @@ def test_pathological_not_power_like(pathological):
     t = ph.log_grid(t1 * 0.5, min(t2 * 2.0, pathological.t_hi), 4000)
     normalized = pathological(t) / t ** alpha
     assert normalized.max() / normalized.min() > 10.0
+
+
+def _masked_oscillating(params):
+    """The reference: every eta piece computed on boolean masks of each
+    branch and scattered into empty arrays, whatever the caller uses."""
+    a, b, eps = params.alpha, params.beta, params.eps
+    E = math.e
+    shift = b * eps / (1.0 + eps * eps)
+
+    def eta_pieces(t):
+        eta, teta1, t2eta2 = np.empty_like(t), np.empty_like(t), np.empty_like(t)
+        low = t <= E
+        if low.any():
+            tl = t[low]
+            eta[low] = b * eps / (2.0 * E * E) * (E - tl) ** 2 - shift
+            teta1[low] = b * eps / (E * E) * tl * (tl - E)
+            t2eta2[low] = b * eps / (E * E) * tl * tl
+        hig = ~low
+        if hig.any():
+            th = t[hig]
+            lt = np.log(th)
+            z = eps * np.log(lt)
+            sin_z, cos_z = np.sin(z), np.cos(z)
+            eta[hig] = b * lt / (1.0 + eps * eps) * (sin_z - eps * cos_z)
+            teta1[hig] = b * sin_z
+            t2eta2[hig] = b * ((eps / lt) * cos_z - sin_z)
+        return eta, teta1, t2eta2
+
+    def value(t):
+        eta, _, _ = eta_pieces(t)
+        return t ** a * np.exp(eta)
+
+    def derivative(t):
+        eta, teta1, _ = eta_pieces(t)
+        return t ** (a - 1.0) * np.exp(eta) * (a + teta1)
+
+    def second(t):
+        eta, teta1, t2eta2 = eta_pieces(t)
+        first = t ** (a - 1.0) * np.exp(eta) * (a + teta1)
+        return first / t * (a - 1.0 + teta1 + (t2eta2 + teta1) / (a + teta1))
+
+    return ph.YoungFunction(value, derivative, second)
+
+
+_E_POINTS = {
+    "below e": np.geomspace(1e-8, 2.718, 1000),
+    "above e": np.geomspace(2.7183, 1e29, 1000),
+    "straddling": np.geomspace(1e-8, 1e29, 32 * 511),
+    "shuffled": np.random.default_rng(5).permutation(np.geomspace(1e-8, 1e29, 32 * 511)),
+    "with e": np.array([1.0, math.e, 2.0, 10.0, math.e]),
+    "exactly e": np.array([math.e]),
+    "one below": np.array([0.5]),
+    "one above": np.array([30.0]),
+    "0-d": np.float64(3.7),
+    "0-d e": math.e,
+    "block of a 2-D state": np.geomspace(1e-3, 1e6, 32 * 511).reshape(32, 511),
+}
+
+
+@pytest.mark.parametrize("points", list(_E_POINTS), ids=list(_E_POINTS))
+@pytest.mark.parametrize("pqe", [(3.0, 2.0, 1.9), (3.0, 2.5, 1.9)], ids=["A4", "reaction"])
+def test_oscillating_generator_matches_masked_oracle_bit_for_bit(pqe, points):
+    params = ph.PathologicalParams.make(*pqe)
+    psi, oracle = ph.build_pathological(params), _masked_oscillating(params)
+    t = _E_POINTS[points]
+    for name in ("__call__", "prime", "second"):
+        got, want = getattr(psi, name)(t), getattr(oracle, name)(t)
+        assert np.shape(got) == np.shape(t) and np.array_equal(got, want), name
+
+
+def test_diverging_maxima_matches_a_per_decade_loop():
+    def per_decade_loop(grid, vals):
+        buckets = np.floor(np.log10(grid)).astype(int)
+        maxima = np.array([vals[buckets == b].max() for b in np.unique(buckets)])
+        if maxima.size < 4:
+            return False
+        tail = maxima[-4:]
+        return bool(np.all(np.diff(tail) > 0) and tail[-1] >= 8.0 * tail[0])
+
+    rng = np.random.default_rng(7)
+    verdicts = []
+    for decades in np.repeat(np.arange(1, 13), 20):
+        lo = 10.0 ** rng.uniform(-8.0, 4.0)
+        n = int(rng.integers(2, 3000))
+        grid = np.sort(lo * 10.0 ** rng.uniform(0.0, decades, n))
+        vals = grid ** rng.uniform(-0.2, 0.6) * rng.uniform(0.5, 2.0, n)
+        verdict = young.diverging_maxima(grid, vals)
+        assert verdict == per_decade_loop(grid, vals)
+        verdicts.append(verdict)
+    assert 0 < sum(verdicts) < len(verdicts)
 
 
 # ---------------------------------------------------------------------------

@@ -641,6 +641,11 @@ def _problem_from_config(parser: configparser.ConfigParser):
     t_max = _getfloat(hyp, "t_max", T_MAX_DEFAULT)
     if not (math.isfinite(t_max) and t_max > 0.0):
         raise ConfigError(f"hypotheses.t_max must be finite and > 0, got {t_max}")
+    # a finite mu below s_phi is a hypothesis that fails, not a bad input
+    if mu is not None and not math.isfinite(mu):
+        raise ConfigError(f"hypotheses.mu must be finite, got {mu}")
+    if R is not None and not R < t_max:  # H(f)3 samples [R, t_max]
+        raise ConfigError(f"hypotheses.R must be finite and below t_max={t_max:g}, got {R}")
 
     gr = dict(parser["grid"]) if parser.has_section("grid") else {}
     grid = Grid(n_interior=_getint(gr, "n_interior", 127),
@@ -658,6 +663,8 @@ def _problem_from_config(parser: configparser.ConfigParser):
         t_max=t_max)
     if settings.embed_trials < 1:
         raise ConfigError(f"solver.embed_trials must be >= 1, got {settings.embed_trials}")
+    if settings.n_path < 5:
+        raise ConfigError(f"solver.n_path must be >= 5, got {settings.n_path}")
     if settings.seed < 0:
         raise ConfigError(f"solver.seed must be >= 0, got {settings.seed}")
     if settings.max_iter < 1:

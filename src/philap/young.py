@@ -68,6 +68,7 @@ INDEX_GRID_POINTS = 2000
 # within 3 + 2 * (52 + 3.51) < 115 rounds; the rest is room for rounding.
 ROOT_RTOL_ITERS = 120
 ROOT_GRID = 129  # points of the log grid that brackets each target in one cell
+ROOT_ENDGAME = 64  # doubles in a bracket that the inverses try all at once
 # largest sample grid, log or uniform, checked before anything is allocated:
 # indices on 2**22 points peaks near 0.3 GB, lambda-star on a 10**6-node grid
 # near 1.1 GB
@@ -98,7 +99,7 @@ def first_window(lo, hi, n: int, holds) -> int:
     return int(np.argmax(ok)) if ok.any() else -1
 
 
-def _regula_falsi(f, a, b, fa, fb, iters: int, name: str) -> np.ndarray:
+def _regula_falsi(f, a, b, fa, fb, iters: int, name: str, endgame: int = 0) -> np.ndarray:
     """Close brackets 0 < a < b with fa > 0 >= fb to flip pairs (adjacent
     doubles) in lockstep; f(k, x) is the bracket function of rows k at x,
     near linear in log x.  Illinois regula falsi on (log x, f) (Dowell &
@@ -109,43 +110,75 @@ def _regula_falsi(f, a, b, fa, fb, iters: int, name: str) -> np.ndarray:
     lie an ulp inside the bracket; a row whose trials keep landing on the
     top clamp with f <= 0 (a plateau at the target, or secant steps from b
     below an ulp) doubles that clamp's distance below b, so it gallops.
-    Each row takes the path it takes alone.  Updates the arrays in place
-    and returns b; a bracket still open after iters rounds raises
-    EvalDomainError naming name."""
+    A row whose (a, b] holds at most endgame doubles tries every double
+    inside it in the next round's f call instead, and closes on the first
+    that f > 0 does not keep below the root (else b): under a monotone
+    sign that is the flip pair the secant would reach.  Each row takes the
+    path it takes alone, and only open rows are kept in the working
+    arrays.  Returns b with every row's upper end written in; a bracket
+    still open after iters rounds raises EvalDomainError naming name."""
+    out, rows = b, np.arange(a.size)
     w0 = np.log1p((b - a) / a)  # log(b / a) without cancellation
     side = np.zeros(a.size, dtype=np.int8)  # end replaced last round: -1 a, +1 b
     bisect = np.zeros(a.size, dtype=bool)
     gap = np.full(a.size, 0.5)  # the top clamp lies max(gap, 1) ulps below b
     for j in range(iters + 1):
-        k = np.flatnonzero(np.nextafter(a, np.inf) < b)
-        if not k.size:
-            return b
+        # positive doubles are ordered like their bits: (a, b] holds span of them
+        ia = a.view(np.int64)
+        span = b.view(np.int64) - ia
+        leave = span <= max(endgame, 1)
+        last = 0  # most doubles inside a row that closes this round
+        if leave.any():
+            ends, ia, inner = rows[leave], ia[leave], span[leave] - 1
+            last = int(inner.max())
+            if not last:
+                out[ends] = b[leave]
+            keep = ~leave
+            rows, a, b, fa, fb, w0, side, bisect, gap = (
+                v[keep] for v in (rows, a, b, fa, fb, w0, side, bisect, gap))
+        if not (rows.size or last):
+            return out
         if j == iters:
             raise EvalDomainError(f"{name} left a bracket open after {iters} rounds")
-        ak, bk, fak, fbk = a[k], b[k], fa[k], fb[k]
-        near_a = np.abs(fak) <= np.abs(fbk)
-        x0 = np.where(near_a, ak, bk)
-        with np.errstate(invalid="ignore", over="ignore"):
-            x = x0 + x0 * np.expm1(np.where(near_a, fak, fbk) / (fak - fbk)
-                                   * np.log1p((bk - ak) / ak))
-        geo = bisect[k] | ~np.isfinite(fak - fbk) | ~np.isfinite(x)
-        x[geo] = np.sqrt(ak[geo]) * np.sqrt(bk[geo])  # a * b under- or overflows
-        # below the midpoint the top clamp halves a bisecting row's bracket too
-        lo = np.nextafter(ak, np.inf)
-        top = np.maximum(bk - np.maximum(gap[k], 1.0) * (bk - np.nextafter(bk, 0.0)), lo)
-        x = np.minimum(np.maximum(x, lo), top)
-        fx = f(k, x)
-        gap[k] = np.where((x == top) & (fx <= 0.0), 2.0 * gap[k], 0.5)
+        x = a
+        if rows.size:
+            near_a = np.abs(fa) <= np.abs(fb)
+            x0 = np.where(near_a, a, b)
+            with np.errstate(invalid="ignore", over="ignore"):
+                df = fa - fb
+                x = x0 + x0 * np.expm1(np.where(near_a, fa, fb) / df * np.log1p((b - a) / a))
+            geo = bisect | ~(np.isfinite(df) & np.isfinite(x))
+            if geo.any():
+                x[geo] = np.sqrt(a[geo]) * np.sqrt(b[geo])  # a * b under- or overflows
+            # below the midpoint the top clamp halves a bisecting row's bracket too
+            lo = np.nextafter(a, np.inf)
+            top = np.maximum(b - np.maximum(gap, 1.0) * (b - np.nextafter(b, 0.0)), lo)
+            x = np.minimum(np.maximum(x, lo), top)
+        if last:
+            # each closing row's inner doubles, one run after another
+            first, start = ia + 1, np.cumsum(inner) - inner
+            trials = np.repeat(first - start, inner) + np.arange(start[-1] + inner[-1])
+            fx = f(np.concatenate([rows, np.repeat(ends, inner)]),
+                   np.concatenate([x, trials.view(float)]))
+            # the first trial f > 0 does not keep below the root, or b
+            stop = np.append(np.flatnonzero(~(fx[rows.size:] > 0.0)), trials.size)
+            out[ends] = (first + np.minimum(stop[np.searchsorted(stop, start)] - start,
+                                            inner)).view(float)
+            if not rows.size:
+                continue
+            fx = fx[:rows.size]
+        else:
+            fx = f(rows, x)
+        gap = np.where((x == top) & (fx <= 0.0), 2.0 * gap, 0.5)
         high = fx > 0.0
-        hk, lk = k[high], k[~high]
-        a[hk], fa[hk] = x[high], fx[high]
-        b[lk], fb[lk] = x[~high], fx[~high]
-        # Illinois: halving the kept end's f makes the next secant cross
-        fb[hk[side[hk] == -1]] *= 0.5
-        fa[lk[side[lk] == 1]] *= 0.5
-        side[k] = np.where(high, -1, 1)
+        # Illinois: an end replaced twice running halves the kept end's f, so
+        # the next secant crosses
+        replaced = np.where(high, -1, 1)
+        scale = np.where(side == replaced, 0.5, 1.0)
+        a, fa, b, fb, side = (np.where(high, x, a), np.where(high, fx, fa * scale),
+                              np.where(high, b, x), np.where(high, fb * scale, fx), replaced)
         # all rows start together, so round j + 1 is every open row's (j + 1)-th
-        bisect[k] = np.log1p((b[k] - a[k]) / a[k]) > w0[k] * 0.5 ** ((j - 1) / 2)
+        bisect = np.log1p((b - a) / a) > w0 * 0.5 ** ((j - 1) / 2)
 
 
 def _values_or_inf(fn, x: np.ndarray) -> np.ndarray:
@@ -168,7 +201,8 @@ def _solve_increasing(fn, target, lo, hi, iters: int = ROOT_RTOL_ITERS,
     """Smallest double s in [lo, hi] with fn(s) >= target, fn increasing and
     elementwise, vectorized over target.  One fn call on a ROOT_GRID-point
     log grid gives each target t a cell with fn(a) < t <= fn(b), closed by
-    _regula_falsi on (log s, log(t / fn(s))).  A target at or below fn(lo)
+    _regula_falsi on (log s, log(t / fn(s))), which tries every double of a
+    cell narrowed to ROOT_ENDGAME of them at once.  A target at or below fn(lo)
     gives lo, one above fn(hi) gives hi."""
     t = np.atleast_1d(np.asarray(target, dtype=float))
     grid = np.geomspace(lo, hi, ROOT_GRID)
@@ -181,7 +215,8 @@ def _solve_increasing(fn, target, lo, hi, iters: int = ROOT_RTOL_ITERS,
         tr, ir = t[rows], i[rows]
         s[rows] = _regula_falsi(lambda k, x: np.log(tr[k] / np.maximum(fn(x), 0.0)),
                                 grid[ir - 1], grid[ir], np.log(tr / vals[ir - 1]),
-                                np.log(tr / vals[ir]), iters, f"{name}: regula falsi")
+                                np.log(tr / vals[ir]), iters, f"{name}: regula falsi",
+                                ROOT_ENDGAME)
     return s
 
 
@@ -484,13 +519,16 @@ def power_young(p: float, coeff: float = 1.0, name: Optional[str] = None) -> You
         limits = [(np.finfo(float).max / 4.0 / max(c, 1.0)) ** (1.0 / e)
                   for c, e in terms if e > 0.0]
     t_hi = min(EVAL_HI_DEFAULT, *limits)
+    # powers stay accurate far below the generic floor, and their critical
+    # conjugates need the long tables it enables
+    t_lo = 1e-30
+    if not t_hi > t_lo:  # coeff p (p - 1) overflows for p above about 1.3e154
+        raise ConstructionError(f"power generator with p={p:g} has an empty trusted range")
     return YoungFunction(
         lambda t: coeff * t ** p,
         lambda t: coeff * p * t ** (p - 1.0),
         lambda t: coeff * p * (p - 1.0) * t ** (p - 2.0),
-        t_lo=1e-30,  # powers stay accurate far below the generic floor and
-        # their critical conjugates need the long tables it enables
-        t_hi=t_hi, name=name or f"{coeff:g}*t^{p:g}", indices=IndexPair(p, p, p, p))
+        t_lo=t_lo, t_hi=t_hi, name=name or f"{coeff:g}*t^{p:g}", indices=IndexPair(p, p, p, p))
 
 
 def power_over_p_young(p: float) -> YoungFunction:
@@ -756,7 +794,10 @@ def sobolev_conjugate(phi: YoungFunction, n_dim: int) -> YoungFunction:
     # s-knots: they place the patch point and the saturation guard
     grid = log_grid(s_lo, s_hi, int(48 * math.log10(s_hi / s_lo)) + 1)
     expo = 1.0 + 1.0 / n_dim
-    tau_lo, tau_hi = inverse_value(phi, np.array([s_lo, s_hi]))
+    # the patch point, the s-knot at or above s_patch, shares the ends' call
+    s_patch = min(max(float(phi(1.0)), grid[0] * 10.0), grid[-1] / 1e10)
+    tau_lo, tau_hi, tau_patch = inverse_value(
+        phi, np.array([s_lo, s_hi, grid[np.searchsorted(grid, s_patch)]]))
     # d log theta / d log s of theta = tau s^{-1-1/N} decides integrability at 0
     e_head = float(phi(tau_lo)) / (tau_lo * float(phi.prime(tau_lo))) - expo
     tau0 = tau_lo
@@ -767,8 +808,7 @@ def sobolev_conjugate(phi: YoungFunction, n_dim: int) -> YoungFunction:
                 f"{phi.name}: inverse integral diverges at 0 and the lower index "
                 f"{pair.lower:.3f} >= N = {n_dim} leaves no admissible patch")
         e_head = 1.0 / pair.lower - expo
-        s_patch = min(max(float(phi(1.0)), grid[0] * 10.0), grid[-1] / 1e10)
-        tau0 = float(inverse_value(phi, grid[np.searchsorted(grid, s_patch)])[0])
+        tau0 = tau_patch
 
     tau = log_grid(tau0, tau_hi, grid.size)
     s = phi(tau)

@@ -242,7 +242,9 @@ def test_tolerance_registry_follows_the_constants():
     "solver.seed=-1", "hypotheses.t_max=0", "hypotheses.t_max=-5",
     "grid.length=nan", "grid.length=inf", "solver.tol_first=0",
     "solver.tol_first=nan", "solver.tol_mountain=0", "solver.max_iter=0",
-    "operator.N=nan", "operator.N=inf", "grid.n_interior=100000000000"])
+    "operator.N=nan", "operator.N=inf", "grid.n_interior=100000000000",
+    "hypotheses.mu=nan", "hypotheses.mu=inf", "hypotheses.R=inf", "hypotheses.R=1e300",
+    "hypotheses.R=10000", "solver.n_path=-5", "solver.n_path=4"])
 def test_config_load_errors_exit_two(a5_config, tmp_path, capsys, override):
     code = main(["lambda-star", "--config", str(a5_config), "--override", override,
                  "--out", str(tmp_path / "o")])
@@ -250,6 +252,17 @@ def test_config_load_errors_exit_two(a5_config, tmp_path, capsys, override):
     assert code == 2
     assert err.startswith("configuration error:")
     assert "Traceback" not in err
+
+
+def test_finite_mu_below_s_phi_is_a_failed_hypothesis(a5_config, tmp_path, capsys):
+    # only a non-finite mu is malformed input; a finite one that misses
+    # H(f)3 keeps its FAIL verdict
+    code = main(["lambda-star", "--config", str(a5_config), "--override", "hypotheses.mu=1.5",
+                 "--out", str(tmp_path / "o")])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert "H(f)3: FAIL (mu=1.5000 not above s_phi=4.0000)" in captured.out
+    assert "configuration error" not in captured.err
 
 
 @pytest.mark.parametrize("argv", [
@@ -263,7 +276,10 @@ def test_config_load_errors_exit_two(a5_config, tmp_path, capsys, override):
     ["sobolev-conjugate", "--builtin", "power", "--p", "inf"],
     ["indices", "--builtin", "log-power", "--p", "inf"],
     ["indices", "--builtin", "log-power", "--p", "nan"],
-    ["indices", "--builtin", "power", "--p", "2", "--grid-n", "100000000000"]])
+    ["indices", "--builtin", "power", "--p", "2", "--grid-n", "100000000000"],
+    ["conjugate", "--builtin", "power", "--p", "1e300"],
+    ["sobolev-conjugate", "--builtin", "power", "--p", "1e300"],
+    ["indices", "--builtin", "power", "--p", "1e300"]])
 def test_builtin_argument_errors_exit_two(tmp_path, capsys, argv):
     code = main(argv + ["--out", str(tmp_path / "o")])
     err = capsys.readouterr().err

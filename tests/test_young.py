@@ -389,7 +389,7 @@ def test_critical_tables_are_root_free(generator, N, pathological, monkeypatch):
 
     monkeypatch.setattr(young, "_solve_increasing", counting)
     ph.sobolev_conjugate(psi, N)
-    assert 2 <= sum(targets) <= 3
+    assert targets == [3]  # one call: both range ends and the patch point
     targets.clear()
     young.theta_growth_integrals(psi, N)
     assert sum(targets) <= 9
@@ -496,7 +496,8 @@ def test_solve_increasing_stops_at_fixed_point(generator, pathological):
     # the iteration stops at a flip pair whose upper end is the root, a few
     # ulps from bisection's; the grid call plus the regula falsi rounds stay
     # well below the 60-odd rounds bisection takes, also where log-power's
-    # value table sits on the target psi(1) for a run of ulps
+    # value table sits on the target psi(1) for a run of ulps (13 calls,
+    # the most of these six)
     psi = {"power": ph.power_young(3.0), "log-power": ph.log_power_young(3.0),
            "pathological": pathological}[generator]
     calls = []
@@ -511,13 +512,58 @@ def test_solve_increasing_stops_at_fixed_point(generator, pathological):
     for fn in (psi, psi.prime):
         calls.clear()
         got = young._solve_increasing(counted(fn), targets, psi.t_lo, psi.t_hi)
-        assert len(calls) <= 20
+        assert len(calls) <= 13
         inside = targets > fn(psi.t_lo)
         assert np.all(got[~inside] == psi.t_lo)
         assert np.all(fn(np.nextafter(got[inside], 0.0)) < targets[inside])
         assert np.all(targets <= fn(got))
         ref = _bisect_all_rounds(fn, targets, psi.t_lo, psi.t_hi)
         assert np.all(np.abs(got - ref) <= 4 * np.spacing(ref))
+
+
+_CALLER_FNS = {  # the function each caller of _solve_increasing inverts
+    "inverse_value": lambda psi: psi,
+    "conjugate_inverse": lambda psi: lambda s: s * psi.prime(s) - psi(s),
+    "conj": lambda psi: psi.prime,
+}
+
+
+@pytest.mark.parametrize("caller", list(_CALLER_FNS))
+@pytest.mark.parametrize("generator", ["power", "power-13", "log-power", "pathological"])
+def test_solve_increasing_rows_match_single_calls(caller, generator, pathological,
+                                                  monkeypatch):
+    # each row of one call takes the path it takes alone, so merging
+    # targets into one call (as sobolev_conjugate does) moves no bit; the
+    # targets include log-power's plateau at psi(1) and, for t^13, values
+    # up to the overflow near the top of its trusted range.  The endgame
+    # closes each row on the flip pair the secant alone reaches.
+    psi = {"power": ph.power_young(3.0), "power-13": ph.power_young(13.0),
+           "log-power": ph.log_power_young(3.0), "pathological": pathological}[generator]
+    fn = _CALLER_FNS[caller](psi)
+    targets = np.concatenate([np.logspace(-30, 30, 31), fn(np.array([0.5, 1.0, 2.0, 7.3])),
+                              [1e-300, 1e300, 3.0, 3.0]])
+    together = young._solve_increasing(fn, targets, psi.t_lo, psi.t_hi)
+    alone = [young._solve_increasing(fn, t, psi.t_lo, psi.t_hi)[0] for t in targets]
+    assert together.tobytes() == np.array(alone).tobytes()
+    monkeypatch.setattr(young, "ROOT_ENDGAME", 0)
+    assert together.tobytes() == young._solve_increasing(fn, targets, psi.t_lo, psi.t_hi).tobytes()
+
+
+@pytest.mark.parametrize("width", [young.ROOT_ENDGAME // 4, 40 * young.ROOT_ENDGAME])
+def test_solve_increasing_returns_first_double_of_a_plateau(width):
+    # fn(s) = s except on [p0, p1], `width` doubles wide, where it equals p1:
+    # the smallest s with fn(s) >= p1 is p0, whether or not the plateau
+    # fits in one endgame round
+    p0 = 1.2345
+    p1 = (np.array(p0).view(np.int64) + width).view(float)
+
+    def stepped(s):
+        return np.where((s >= p0) & (s <= p1), p1, s)
+
+    for target in (p1, np.nextafter(p0, 0.0), p0):
+        got = young._solve_increasing(stepped, [target, 7.3, p1], 1e-3, 1e3)
+        assert got[0] == (p0 if target >= p0 else target)
+        assert got[1:].tolist() == [7.3, p0]
 
 
 @pytest.mark.parametrize("caller", ["inverse_value", "conjugate_inverse", "conj"])
@@ -576,6 +622,14 @@ def test_power_trusted_range_stays_finite():
                 assert math.isfinite(fn(t)), (p, coeff, fn)
             with pytest.raises(EvalDomainError):
                 psi(t * 1.01)
+
+
+@pytest.mark.parametrize("p", [1.4e154, 1e300])
+def test_power_with_empty_trusted_range_is_rejected(p):
+    # coeff p (p - 1) overflows, so the second derivative's limit is 0
+    with pytest.raises(ConstructionError, match=re.escape(f"p={p:g}")):
+        ph.power_young(p)
+    assert ph.power_young(1.3e154).t_hi > 1e-30
 
 
 def test_ordering_steep_power_against_log_power():
